@@ -191,6 +191,19 @@ impl<E: FileExtractor> Importer<E> {
         &self.ids
     }
 
+    /// Estimated resident bytes of the importer's state: every watched
+    /// path twice (manifest and id table) with its stamp and id. Walks
+    /// both maps, so call it per scan, not per file.
+    pub fn memory_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let id_entries: usize = self
+            .ids
+            .keys()
+            .map(|p| p.as_os_str().len() + size_of::<(PathBuf, ObjectId)>())
+            .sum();
+        id_entries + self.manifest.memory_bytes()
+    }
+
     /// The id assigned to a path, if imported.
     pub fn id_of(&self, path: &Path) -> Option<ObjectId> {
         self.ids.get(path).copied()

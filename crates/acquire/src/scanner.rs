@@ -79,6 +79,14 @@ impl Manifest {
         self.files.is_empty()
     }
 
+    /// Estimated resident bytes: every tracked path plus its stamp.
+    pub fn memory_bytes(&self) -> usize {
+        self.files
+            .keys()
+            .map(|p| p.as_os_str().len() + std::mem::size_of::<(PathBuf, FileStamp)>())
+            .sum()
+    }
+
     /// The stamp recorded for a path.
     pub fn stamp(&self, path: &Path) -> Option<FileStamp> {
         self.files.get(path).copied()

@@ -134,8 +134,9 @@ impl AttrStore {
         Ok(self.index.remove(id))
     }
 
-    /// The stored attributes of one object.
-    pub fn get(&self, id: ObjectId) -> Option<&Attributes> {
+    /// The stored attributes of one object, as an owned map (the index
+    /// keeps them packed).
+    pub fn get(&self, id: ObjectId) -> Option<Attributes> {
         self.index.attributes(id)
     }
 

@@ -515,6 +515,18 @@ impl MetadataFootprint {
     }
 }
 
+/// Estimated resident bytes of an engine's bulk structures (see
+/// [`SearchEngine::memory_estimate`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineMemory {
+    /// Original feature vectors (0 for sketch-only engines).
+    pub originals: usize,
+    /// Segment sketches and weights.
+    pub sketches: usize,
+    /// The sketch filter index(es).
+    pub index: usize,
+}
+
 /// Builds a [`SearchEngine`], mirroring `ServiceBuilder` in the query
 /// crate. This is the one construction surface: the deprecated
 /// [`SearchEngine::new`] is a thin wrapper over it.
@@ -638,6 +650,7 @@ impl EngineBuilder {
             config,
             telemetry: None,
             storage,
+            segments: 0,
         };
         if self.telemetry.is_some() {
             engine.set_telemetry(self.telemetry);
@@ -659,6 +672,9 @@ pub struct SearchEngine {
     telemetry: Option<Arc<MetricsRegistry>>,
     /// The object maps and sketch index, behind the layout seam.
     storage: Box<dyn IndexStorage>,
+    /// Segments across all live objects, kept by insert/remove so
+    /// [`SearchEngine::memory_estimate`] needs no corpus walk.
+    segments: usize,
 }
 
 impl SearchEngine {
@@ -902,8 +918,11 @@ impl SearchEngine {
         if let Some(elapsed) = clock.elapsed() {
             self.record_ingest_metrics(1, elapsed);
         }
+        let segments = sketched.num_segments();
         let original = self.config.store_originals.then_some(object);
-        self.storage.insert(id, sketched, original)
+        self.storage.insert(id, sketched, original)?;
+        self.segments += segments;
+        Ok(())
     }
 
     /// Inserts a batch of objects, sketching them in parallel according
@@ -936,8 +955,10 @@ impl SearchEngine {
             self.record_ingest_metrics(items.len(), elapsed);
         }
         for ((id, object), so) in items.into_iter().zip(sketched) {
+            let segments = so.num_segments();
             let original = self.config.store_originals.then_some(object);
             self.storage.insert(id, so, original)?;
+            self.segments += segments;
         }
         Ok(())
     }
@@ -947,7 +968,15 @@ impl SearchEngine {
     /// reclaims it, which is why this can now report an I/O error (the
     /// tombstone may trigger a persisted compaction apply).
     pub fn remove(&mut self, id: ObjectId) -> Result<bool> {
-        self.storage.tombstone(id)
+        let segments = self
+            .storage
+            .sketch(id)
+            .map_or(0, SketchedObject::num_segments);
+        let present = self.storage.tombstone(id)?;
+        if present {
+            self.segments -= segments;
+        }
+        Ok(present)
     }
 
     /// Sketches a query object with the engine's construction unit.
@@ -965,17 +994,12 @@ impl SearchEngine {
             ));
         }
         let live = self.storage.live_refs();
-        let vectors = live
-            .iter()
-            .filter_map(|(_, _, obj)| *obj)
-            .flat_map(|o| o.segments().iter().map(|s| &s.vector));
-        SketchParams::from_samples(nbits, xor_folds, vectors)
+        SketchParams::from_objects(nbits, xor_folds, live.iter().filter_map(|(_, _, obj)| *obj))
     }
 
-    /// Rebuilds the engine with new sketch parameters, re-sketching every
-    /// stored object (the parameter-tuning loop of paper §4.3). Requires
-    /// stored originals.
-    pub fn rebuild(&self, sketch: SketchParams, seed: u64) -> Result<SearchEngine> {
+    /// An empty engine configured like this one except for the sketch
+    /// geometry and seed: the first half of a rebuild.
+    fn reconfigured(&self, sketch: SketchParams, seed: u64) -> Result<SearchEngine> {
         if !self.config.store_originals {
             return Err(CoreError::InvalidQuery(
                 "engine is sketch-only; cannot rebuild".into(),
@@ -989,23 +1013,90 @@ impl SearchEngine {
         config.seed = seed;
         // Carry the registry over so a retune does not silently disable
         // telemetry on the replacement engine.
-        let mut rebuilt = EngineBuilder::from_config(config)
+        EngineBuilder::from_config(config)
             .telemetry(self.telemetry.clone())
-            .build()?;
+            .build()
+    }
+
+    /// Sketches and indexes `items` into this (empty) engine and takes
+    /// over durable segment persistence: the first checkpoint commits a
+    /// manifest naming only this engine's segment files, superseding (and
+    /// garbage-collecting) the previous owner's.
+    fn adopt(
+        &mut self,
+        items: Vec<(ObjectId, DataObject)>,
+        store: Option<ferret_store::SegmentStore>,
+    ) -> Result<()> {
+        self.insert_batch(items)?;
+        match store {
+            Some(store) => self.attach_segment_persistence(store),
+            None => Ok(()),
+        }
+    }
+
+    /// Builds a second engine with new sketch parameters, re-sketching a
+    /// copy of every stored object (the parameter-tuning loop of paper
+    /// §4.3) and leaving this one untouched — for callers that compare the
+    /// two. A serving process replaces its engine with
+    /// [`SearchEngine::retune`] instead, which never holds both. Requires
+    /// stored originals.
+    pub fn rebuild(&self, sketch: SketchParams, seed: u64) -> Result<SearchEngine> {
+        let mut rebuilt = self.reconfigured(sketch, seed)?;
         let items: Vec<(ObjectId, DataObject)> = self
             .storage
             .live_refs()
             .into_iter()
             .filter_map(|(id, _, obj)| obj.map(|o| (id, o.clone())))
             .collect();
-        rebuilt.insert_batch(items)?;
-        // The replacement engine takes over durable segment persistence:
-        // its first checkpoint commits a manifest naming only its own
-        // segment files, superseding (and garbage-collecting) ours.
-        if let Some(store) = self.storage.persistence_handle() {
-            rebuilt.attach_segment_persistence(store.clone())?;
-        }
+        rebuilt.adopt(items, self.storage.persistence_handle().cloned())?;
         Ok(rebuilt)
+    }
+
+    /// Re-sketches this engine in place with new sketch parameters. The
+    /// result is what [`SearchEngine::rebuild`] returns, but the originals
+    /// are moved, not copied, and the old sketches and index are dropped
+    /// before the new ones are built, so the corpus is never resident
+    /// twice. Requires stored originals and parameters of the engine's
+    /// dimensionality; both are checked before anything is torn down.
+    pub fn retune(&mut self, sketch: SketchParams, seed: u64) -> Result<()> {
+        if sketch.dim() != self.builder.params().dim() {
+            return Err(CoreError::DimensionMismatch {
+                expected: self.builder.params().dim(),
+                actual: sketch.dim(),
+            });
+        }
+        let rebuilt = self.reconfigured(sketch, seed)?;
+        let old = std::mem::replace(self, rebuilt);
+        let (items, store) = old.storage.into_originals();
+        self.adopt(items, store)
+    }
+
+    /// Estimated resident bytes of the engine's three bulk structures,
+    /// from object and segment counts (O(1), except the index term, which
+    /// walks bucket tables — call on mutations, not per query).
+    pub fn memory_estimate(&self) -> EngineMemory {
+        use std::mem::size_of;
+        let (objects, segments) = (self.len(), self.segments);
+        // A map slot: the id key plus hash-table control and slack.
+        let slot = 2 * size_of::<ObjectId>();
+        let dim = self.builder.params().dim();
+        let sketch_words = self.builder.nbits().div_ceil(64);
+        let originals = if self.config.store_originals {
+            objects * (slot + size_of::<DataObject>())
+                + segments * (size_of::<crate::object::Segment>() + dim * size_of::<f32>())
+        } else {
+            0
+        };
+        let sketches = objects * (slot + size_of::<SketchedObject>())
+            + segments
+                * (size_of::<crate::sketch::BitVec>()
+                    + sketch_words * size_of::<u64>()
+                    + size_of::<f32>());
+        EngineMemory {
+            originals,
+            sketches,
+            index: self.storage.index_bytes(),
+        }
     }
 
     /// Current metadata footprint (for storage-ratio reporting).
@@ -1933,6 +2024,44 @@ mod tests {
         let sk = EngineBuilder::from_config(cfg).build().unwrap();
         assert!(sk.derive_sketch_params(64, 1).is_err());
         assert!(sk.rebuild(params(64, 2), 0).is_err());
+    }
+
+    #[test]
+    fn retune_in_place_equals_rebuild_in_both_layouts() {
+        for layout in [IndexLayout::Monolithic, IndexLayout::Segmented] {
+            let (clustered, _) = clustered_engine();
+            let mut e = SearchEngine::builder(params(256, 4), 42)
+                .index_layout(layout)
+                .memtable_size(3)
+                .compaction(false)
+                .build()
+                .unwrap();
+            for id in clustered.ids() {
+                e.insert(id, clustered.object(id).unwrap().clone()).unwrap();
+            }
+            // A tombstone inside a sealed segment must not come back.
+            assert!(e.remove(ObjectId(1)).unwrap());
+            let derived = e.derive_sketch_params(512, 2).unwrap();
+            let rebuilt = e.rebuild(derived.clone(), 99).unwrap();
+            let before = e.memory_estimate();
+            e.retune(derived.clone(), 99).unwrap();
+            assert_eq!(e.ids(), rebuilt.ids(), "{layout}");
+            assert_eq!(e.sketch_builder().params(), &derived);
+            assert_eq!(e.config().seed, 99);
+            for id in e.ids() {
+                assert_eq!(e.sketched(id), rebuilt.sketched(id), "{layout} {id}");
+                assert_eq!(e.object(id), rebuilt.object(id));
+            }
+            // 9 objects × 2 segments survive; only the sketch width grew.
+            let after = e.memory_estimate();
+            assert_eq!(after.originals, before.originals);
+            assert_eq!(after.originals, rebuilt.memory_estimate().originals);
+            assert!(after.sketches > before.sketches);
+            // A wrong dimensionality is refused before anything is torn down.
+            assert!(e.retune(params(64, 2), 1).is_err());
+            assert_eq!(e.len(), 9);
+            assert_eq!(e.sketch_builder().params(), &derived);
+        }
     }
 
     #[test]

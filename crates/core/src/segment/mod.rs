@@ -241,6 +241,12 @@ pub trait IndexStorage: Send + Sync {
 
     /// The attached segment store, if any.
     fn persistence_handle(&self) -> Option<&SegmentStore>;
+
+    /// Tears the storage down to what a rebuild needs: the live originals
+    /// in insertion order, moved out, and the attached segment store.
+    /// Sketches, indexes and tombstoned records are dropped on the way, so
+    /// the caller can build their replacements without holding both.
+    fn into_originals(self: Box<Self>) -> (Vec<(ObjectId, DataObject)>, Option<SegmentStore>);
 }
 
 /// Converts a store-layer failure into the engine's error type.

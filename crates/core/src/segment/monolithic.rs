@@ -241,6 +241,22 @@ impl IndexStorage for MonolithicStorage {
     fn persistence_handle(&self) -> Option<&SegmentStore> {
         None
     }
+
+    fn into_originals(self: Box<Self>) -> (Vec<(ObjectId, DataObject)>, Option<SegmentStore>) {
+        let Self {
+            order,
+            mut objects,
+            sketches,
+            index,
+            ..
+        } = *self;
+        drop((sketches, index));
+        let originals = order
+            .into_iter()
+            .filter_map(|id| objects.remove(&id).map(|o| (id, o)))
+            .collect();
+        (originals, None)
+    }
 }
 
 #[cfg(test)]

@@ -35,6 +35,7 @@ const INDEX_BYTES_HELP: &str = "Approximate resident size of the sketch filter i
 
 /// An immutable sealed segment: a slice of the corpus in insertion order,
 /// plus (usually) a sketch index built once at merge time.
+#[derive(Clone)]
 struct Segment {
     /// Storage-local segment id (also used to match compaction outcomes
     /// back to their input run).
@@ -813,6 +814,38 @@ impl IndexStorage for SegmentedStorage {
 
     fn persistence_handle(&self) -> Option<&SegmentStore> {
         self.persist.as_ref()
+    }
+
+    fn into_originals(self: Box<Self>) -> (Vec<(ObjectId, DataObject)>, Option<SegmentStore>) {
+        let Self {
+            mem_order,
+            mem_sketches,
+            mut mem_objects,
+            slots,
+            compactor,
+            persist,
+            ..
+        } = *self;
+        // Joining the worker first releases its `Arc`s on the segments, so
+        // they unwrap below without a copy.
+        drop((compactor, mem_sketches));
+        let mut originals = Vec::new();
+        for slot in slots {
+            let Segment {
+                ids, mut objects, ..
+            } = Arc::unwrap_or_clone(slot.segment);
+            originals.extend(
+                ids.into_iter()
+                    .filter(|id| !slot.dead.contains(id))
+                    .filter_map(|id| objects.remove(&id).map(|o| (id, o))),
+            );
+        }
+        originals.extend(
+            mem_order
+                .into_iter()
+                .filter_map(|id| mem_objects.remove(&id).map(|o| (id, o))),
+        );
+        (originals, persist)
     }
 }
 

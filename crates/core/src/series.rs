@@ -19,6 +19,8 @@ pub enum SeriesKind {
     Counter,
     /// Point-in-time value.
     Gauge,
+    /// Point-in-time duration: nanoseconds rendered as seconds.
+    DurationGauge,
     /// Bucketed distribution. `nanos` selects second-rendered latency
     /// buckets; otherwise raw size buckets.
     Histogram {
@@ -41,6 +43,7 @@ pub struct SeriesDef {
 
 const C: SeriesKind = SeriesKind::Counter;
 const G: SeriesKind = SeriesKind::Gauge;
+const GD: SeriesKind = SeriesKind::DurationGauge;
 const HL: SeriesKind = SeriesKind::Histogram { nanos: true };
 const HS: SeriesKind = SeriesKind::Histogram { nanos: false };
 
@@ -70,6 +73,7 @@ pub const SERIES: &[SeriesDef] = series![
     "ferret_insert_batch_size", HS, "Objects per insert batch.";
     "ferret_inserts_total", C, "Objects inserted.";
     "ferret_lock_wait_seconds", HL, "Time spent waiting for the service lock, by operation class.";
+    "ferret_memory_bytes", G, "Estimated resident bytes, by component (originals, sketches, index, attr, db_tables, cache, importer).";
     "ferret_memtable_objects", G, "Objects in the mutable memtable awaiting seal.";
     "ferret_pushdown_queries_total", C, "Filter-stage queries that carried an attribute candidate set.";
     "ferret_pushdown_skipped_total", C, "Objects excluded before heap admission by predicate pushdown.";
@@ -80,6 +84,7 @@ pub const SERIES: &[SeriesDef] = series![
     "ferret_query_seconds", HL, "End-to-end query latency, by mode.";
     "ferret_query_segments_scanned_total", C, "Segment sketches compared in the filtering stage.";
     "ferret_query_stage_seconds", HL, "Per-stage query latency, by stage.";
+    "ferret_recovery_seconds", GD, "Wall time of each stage of the last cold start (db_open, decode, sketch_index, attrs, importer_state, initial_scan, retune).";
     "ferret_rejected_total", C, "Queries rejected by admission control.";
     "ferret_segments", G, "Immutable sealed segments in the engine.";
     "ferret_sketch_build_seconds", HL, "Sketch-construction latency per ingest batch.";

@@ -6,6 +6,7 @@
 //! control `K` (default 1).
 
 use crate::error::{CoreError, Result};
+use crate::object::DataObject;
 use crate::vector::FeatureVector;
 
 /// Parameters of the sketch construction unit.
@@ -129,6 +130,19 @@ impl SketchParams {
             }
         }
         Self::with_options(nbits, xor_folds, mins, maxs, None)
+    }
+
+    /// [`SketchParams::from_samples`] over every segment vector of
+    /// `objects` — the one derivation both the engine's retune and the
+    /// service's single-pass recovery use, so they agree bit for bit.
+    pub fn from_objects<'a, I>(nbits: usize, xor_folds: usize, objects: I) -> Result<Self>
+    where
+        I: IntoIterator<Item = &'a DataObject>,
+    {
+        let vectors = objects
+            .into_iter()
+            .flat_map(|o| o.segments().iter().map(|s| &s.vector));
+        Self::from_samples(nbits, xor_folds, vectors)
     }
 
     /// The dimensionality `D` these parameters describe.

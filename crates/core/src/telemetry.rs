@@ -367,11 +367,15 @@ impl MetricsRegistry {
 
     /// Gets or creates a gauge series.
     pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
+        self.gauge_in(name, help, labels, Unit::Raw)
+    }
+
+    fn gauge_in(&self, name: &str, help: &str, labels: &[(&str, &str)], unit: Unit) -> Arc<Gauge> {
         self.get_or_create(
             name,
             help,
             Kind::Gauge,
-            Unit::Raw,
+            unit,
             labels,
             |m| match m {
                 Metric::Gauge(g) => Some(Arc::clone(g)),
@@ -379,6 +383,14 @@ impl MetricsRegistry {
             },
             || Metric::Gauge(Arc::new(Gauge::new())),
         )
+    }
+
+    /// Sets a gauge series that holds a duration: stored as nanoseconds,
+    /// rendered in seconds (for one-off costs such as recovery stages,
+    /// where a histogram of one sample would say less).
+    pub fn set_duration_gauge(&self, name: &str, help: &str, labels: &[(&str, &str)], d: Duration) {
+        self.gauge_in(name, help, labels, Unit::Nanoseconds)
+            .set(d.as_nanos().min(i64::MAX as u128) as i64);
     }
 
     /// Gets or creates a histogram series with the given bucket bounds
@@ -419,6 +431,7 @@ impl MetricsRegistry {
             let (kind, unit) = match def.kind {
                 SeriesKind::Counter => (Kind::Counter, Unit::Raw),
                 SeriesKind::Gauge => (Kind::Gauge, Unit::Raw),
+                SeriesKind::DurationGauge => (Kind::Gauge, Unit::Nanoseconds),
                 SeriesKind::Histogram { nanos: true } => (Kind::Histogram, Unit::Nanoseconds),
                 SeriesKind::Histogram { nanos: false } => (Kind::Histogram, Unit::Raw),
             };
@@ -485,7 +498,11 @@ impl MetricsRegistry {
                         out.push_str(&format!("{name}{} {}\n", render_labels(labels), c.get()));
                     }
                     Metric::Gauge(g) => {
-                        out.push_str(&format!("{name}{} {}\n", render_labels(labels), g.get()));
+                        let value = match family.unit {
+                            Unit::Raw => g.get().to_string(),
+                            Unit::Nanoseconds => format_f64(g.get() as f64 / 1e9),
+                        };
+                        out.push_str(&format!("{name}{} {value}\n", render_labels(labels)));
                     }
                     Metric::Histogram(h) => {
                         let snap = h.snapshot();
@@ -689,6 +706,25 @@ mod tests {
         g.set(7);
         g.add(-3);
         assert_eq!(g.get(), 4);
+    }
+
+    #[test]
+    fn duration_gauge_renders_seconds() {
+        let reg = MetricsRegistry::new();
+        reg.set_duration_gauge(
+            "recovery_seconds",
+            "Stage time.",
+            &[("stage", "decode")],
+            Duration::from_millis(1500),
+        );
+        reg.gauge("plain", "Plain.", &[]).set(1500);
+        let text = reg.render_prometheus();
+        assert!(text.contains("# TYPE recovery_seconds gauge\n"), "{text}");
+        assert!(
+            text.contains("recovery_seconds{stage=\"decode\"} 1.5\n"),
+            "{text}"
+        );
+        assert!(text.contains("plain 1500\n"), "{text}");
     }
 
     #[test]

@@ -22,6 +22,7 @@ const CALLEES: &[&str] = &[
     ".histogram(",
     ".inc_counter(",
     ".observe_latency(",
+    ".set_duration_gauge(",
 ];
 
 /// Runs the rule over the repo.

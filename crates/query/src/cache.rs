@@ -9,12 +9,14 @@
 //! deterministic, so the rendered bytes match too), and a stale entry
 //! can never be served — it is dropped on sight instead.
 //!
-//! Eviction is LRU by insertion/touch order, bounded by entry count;
-//! the approximate resident footprint (keys + rendered reply sizes) is
-//! published through `ferret_cache_memory_bytes`.
+//! Eviction is LRU by insertion/touch order, bounded by entry count:
+//! every entry carries the stamp of its last store or hit, and the entry
+//! with the smallest stamp is the victim, so a hit allocates nothing and
+//! the bookkeeping never outgrows `capacity`. The approximate resident
+//! footprint (keys + rendered reply sizes) is published through
+//! `ferret_cache_memory_bytes`.
 
 use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -27,14 +29,22 @@ struct Entry {
     epoch: u64,
     resp: Response,
     bytes: usize,
+    /// `Inner::clock` at the last store or hit; the minimum is the LRU.
+    touched: u64,
 }
 
 struct Inner {
     entries: HashMap<String, Entry>,
-    /// Touch order: front = least recently used. May hold stale
-    /// duplicates of re-touched keys; eviction skips them.
-    order: VecDeque<String>,
+    /// Monotone touch counter; stamps are unique, so the LRU is too.
+    clock: u64,
     bytes: usize,
+}
+
+impl Inner {
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
 }
 
 /// A bounded, epoch-invalidated LRU cache of query responses.
@@ -54,7 +64,7 @@ impl ResultCache {
         Self {
             inner: Mutex::new(Inner {
                 entries: HashMap::new(),
-                order: VecDeque::new(),
+                clock: 0,
                 bytes: 0,
             }),
             epoch: AtomicU64::new(0),
@@ -124,11 +134,11 @@ impl ResultCache {
         // the one the reader loaded).
         let epoch = self.epoch();
         let mut evicted_stale = false;
-        let result = match inner.entries.get(key) {
+        let now = inner.tick();
+        let result = match inner.entries.get_mut(key) {
             Some(entry) if entry.epoch == epoch => {
-                let resp = entry.resp.clone();
-                inner.order.push_back(key.to_string());
-                Some(resp)
+                entry.touched = now;
+                Some(entry.resp.clone())
             }
             Some(_) => {
                 if let Some(entry) = inner.entries.remove(key) {
@@ -168,26 +178,27 @@ impl ResultCache {
             inner.bytes -= old.bytes;
         }
         inner.bytes += entry_bytes;
-        inner.order.push_back(key.clone());
+        let touched = inner.tick();
         inner.entries.insert(
             key,
             Entry {
                 epoch,
                 resp,
                 bytes: entry_bytes,
+                touched,
             },
         );
         let mut evicted = 0u64;
         while inner.entries.len() > self.capacity {
-            let Some(victim) = inner.order.pop_front() else {
+            // A linear minimum over at most `capacity + 1` entries.
+            let Some(victim) = inner
+                .entries
+                .iter()
+                .min_by_key(|(_, e)| e.touched)
+                .map(|(k, _)| k.clone())
+            else {
                 break;
             };
-            // The touch queue may hold stale duplicates of keys that
-            // were re-touched (and thus re-pushed) later; only the
-            // *last* occurrence speaks for the entry.
-            if inner.order.iter().any(|k| k == &victim) {
-                continue;
-            }
             if let Some(entry) = inner.entries.remove(&victim) {
                 inner.bytes -= entry.bytes;
                 evicted += 1;
@@ -199,6 +210,11 @@ impl ResultCache {
             self.count("ferret_cache_evictions_total", evicted);
         }
         self.publish_bytes(bytes);
+    }
+
+    /// Approximate resident bytes of cached keys and replies.
+    pub fn memory_bytes(&self) -> usize {
+        self.inner.lock().bytes
     }
 
     fn count(&self, name: &'static str, n: u64) {
@@ -251,6 +267,32 @@ mod tests {
         assert!(cache.lookup("a").is_some());
         assert!(cache.lookup("b").is_none());
         assert!(cache.lookup("c").is_some());
+    }
+
+    #[test]
+    fn hits_leave_bookkeeping_bounded_and_lru_order_intact() {
+        let cache = ResultCache::new(4);
+        for key in ["a", "b", "c", "d"] {
+            cache.store(key.into(), resp(1));
+        }
+        // Hit everything but "c" many times; the last round ends on "a".
+        for i in 0..10_002 {
+            let key = ["b", "d", "a"][i % 3];
+            assert!(cache.lookup(key).is_some());
+        }
+        {
+            let inner = cache.inner.lock();
+            assert!(inner.entries.len() <= 4, "{} entries", inner.entries.len());
+            assert_eq!(inner.clock, 4 + 10_002, "one stamp per touch, no queue");
+        }
+        // Victims leave in touch order: the never-hit "c", then "b",
+        // "d" and "a" as last touched.
+        for (new, victim) in [("e", "c"), ("f", "b"), ("g", "d"), ("h", "a")] {
+            cache.store(new.into(), resp(2));
+            let inner = cache.inner.lock();
+            assert!(!inner.entries.contains_key(victim), "{victim} should go");
+            assert_eq!(inner.entries.len(), 4);
+        }
     }
 
     #[test]

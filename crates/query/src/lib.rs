@@ -45,5 +45,6 @@ pub use protocol::{
 };
 pub use server::{Client, ServeConfig, Server};
 pub use service::{
-    FerretService, Response, ServiceBuilder, ServiceError, DEFAULT_TRACE_CAPACITY, FEATURES_TABLE,
+    FerretService, RecoveryReport, Response, ServiceBuilder, ServiceError, DEFAULT_TRACE_CAPACITY,
+    FEATURES_TABLE,
 };

@@ -10,6 +10,7 @@
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -23,6 +24,7 @@ use ferret_core::error::CoreError;
 use ferret_core::object::{DataObject, ObjectId};
 use ferret_core::parallel::Parallelism;
 use ferret_core::segment::IndexLayout;
+use ferret_core::sketch::SketchParams;
 use ferret_core::telemetry::{MetricsRegistry, QueryTrace, Unit, SIZE_BUCKETS};
 use ferret_store::{Database, DbOptions, SegmentStore, StoreError, Vfs};
 
@@ -112,6 +114,33 @@ impl TraceRing {
     }
 }
 
+/// What the last cold start cost, stage by stage (served as
+/// `ferret_recovery_seconds{stage}` once telemetry is enabled).
+#[derive(Debug, Clone, Default)]
+pub struct RecoveryReport {
+    /// `(stage, wall time)` in execution order. [`ServiceBuilder::open`]
+    /// records `db_open`, `decode`, `sketch_index` and `attrs`;
+    /// [`FerretService::retune_sketches`] records `retune`; the caller adds
+    /// its own (importer state, initial scan) through
+    /// [`FerretService::record_recovery_stage`].
+    pub stages: Vec<(&'static str, Duration)>,
+    /// Bulk sketch-and-index passes over a non-empty corpus: 1 when the
+    /// opened corpus was already tuned, 2 when a retune had to rebuild it.
+    pub engine_builds: u32,
+    /// Why [`ServiceBuilder::derive_sketch_ranges`] kept the configured
+    /// ranges instead, when it did.
+    pub derive_error: Option<String>,
+}
+
+fn publish_recovery_stage(registry: &MetricsRegistry, stage: &str, wall: Duration) {
+    registry.set_duration_gauge(
+        "ferret_recovery_seconds",
+        "Wall time of each stage of the last cold start.",
+        &[("stage", stage)],
+        wall,
+    );
+}
+
 /// Configures and builds a [`FerretService`]: engine configuration plus
 /// every optional knob (persistence options, VFS, telemetry registry,
 /// parallelism, trace-ring capacity) in one place.
@@ -137,6 +166,7 @@ pub struct ServiceBuilder {
     parallelism: Option<Parallelism>,
     trace_capacity: usize,
     cache_capacity: usize,
+    derive_sketch_ranges: bool,
 }
 
 impl ServiceBuilder {
@@ -150,7 +180,23 @@ impl ServiceBuilder {
             parallelism: None,
             trace_capacity: DEFAULT_TRACE_CAPACITY,
             cache_capacity: 0,
+            derive_sketch_ranges: false,
         }
+    }
+
+    /// On [`ServiceBuilder::open`], replaces the configured per-dimension
+    /// sketch ranges with ranges derived from the recovered feature
+    /// vectors (keeping the configured `nbits`, `xor_folds` and seed)
+    /// *before* the engine is built, so the corpus is sketched and indexed
+    /// once with the parameters [`FerretService::retune_sketches`] would
+    /// arrive at — opening this way equals a plain open followed by a
+    /// retune, at half the work and without a second engine. When nothing
+    /// can be derived (empty store, sketch-only engine, no valid range)
+    /// the configured ranges stand and
+    /// [`RecoveryReport::derive_error`] says why.
+    pub fn derive_sketch_ranges(mut self) -> Self {
+        self.derive_sketch_ranges = true;
+        self
     }
 
     /// Metadata-store options used when the service is opened
@@ -195,11 +241,18 @@ impl ServiceBuilder {
         self
     }
 
-    fn finish(self, engine: SearchEngine, attrs: AttrStore, db: Option<Database>) -> FerretService {
+    fn finish(
+        self,
+        engine: SearchEngine,
+        attrs: AttrStore,
+        db: Option<Database>,
+        recovery: RecoveryReport,
+    ) -> FerretService {
         let mut svc = FerretService {
             engine,
             attrs,
             db,
+            recovery,
             telemetry: None,
             traces: Mutex::new(TraceRing::new(self.trace_capacity)),
             cache: ResultCache::new(self.cache_capacity),
@@ -216,19 +269,26 @@ impl ServiceBuilder {
     /// Builds an in-memory service (no persistence).
     pub fn build_in_memory(self) -> Result<FerretService, ServiceError> {
         let engine = EngineBuilder::from_config(self.config.clone()).build()?;
-        Ok(self.finish(engine, AttrStore::new(), None))
+        Ok(self.finish(engine, AttrStore::new(), None, RecoveryReport::default()))
     }
 
     /// Opens (or creates) a persistent service in `dir`, recovering all
     /// objects and attributes and rebuilding sketches deterministically.
     /// Uses the configured [`Vfs`] when one was set.
     pub fn open(self, dir: &std::path::Path) -> Result<FerretService, ServiceError> {
+        let mut stages = Vec::new();
+        let mut clock = Instant::now();
+        let mut stage = |name| {
+            let now = Instant::now();
+            stages.push((name, now - clock));
+            clock = now;
+        };
         let db = match &self.vfs {
             Some(vfs) => Database::open_with_vfs(Arc::clone(vfs), dir, self.db_options)?,
             None => Database::open_with(dir, self.db_options)?,
         };
-        let mut engine = EngineBuilder::from_config(self.config.clone()).build()?;
-        let mut recovered = Vec::new();
+        stage("db_open");
+        let mut recovered = Vec::with_capacity(db.table_len(FEATURES_TABLE));
         for (key, value) in db.iter_table(FEATURES_TABLE) {
             let id = match <[u8; 8]>::try_from(key) {
                 Ok(raw) => ObjectId(u64::from_le_bytes(raw)),
@@ -241,6 +301,17 @@ impl ServiceBuilder {
             let obj = decode_object(value)?;
             recovered.push((id, obj));
         }
+        stage("decode");
+        let mut config = self.config.clone();
+        let mut derive_error = None;
+        if self.derive_sketch_ranges && !recovered.is_empty() {
+            match derive_ranges(&config, &recovered) {
+                Ok(params) => config.sketch = params,
+                Err(e) => derive_error = Some(e.to_string()),
+            }
+        }
+        let mut engine = EngineBuilder::from_config(config).build()?;
+        let engine_builds = u32::from(!recovered.is_empty());
         // Sketch construction dominates recovery time, so the whole recovered
         // set goes through the batch-parallel insert path.
         engine.insert_batch(recovered)?;
@@ -255,9 +326,44 @@ impl ServiceBuilder {
             let store = SegmentStore::open(vfs, &dir.join("segments"))?;
             engine.attach_segment_persistence(store)?;
         }
+        stage("sketch_index");
         let attrs = AttrStore::load(&db)?;
-        Ok(self.finish(engine, attrs, Some(db)))
+        stage("attrs");
+        let recovery = RecoveryReport {
+            stages,
+            engine_builds,
+            derive_error,
+        };
+        Ok(self.finish(engine, attrs, Some(db), recovery))
     }
+}
+
+/// The sketch parameters a retune would derive from `objects`, under the
+/// configuration's `nbits` and `xor_folds`.
+fn derive_ranges(
+    config: &EngineConfig,
+    objects: &[(ObjectId, DataObject)],
+) -> Result<SketchParams, CoreError> {
+    if !config.store_originals {
+        // A later retune could not re-derive them, so opening this way
+        // would no longer equal open + retune.
+        return Err(CoreError::InvalidQuery(
+            "engine is sketch-only; cannot derive parameters".into(),
+        ));
+    }
+    let params = SketchParams::from_objects(
+        config.sketch.nbits,
+        config.sketch.xor_folds,
+        objects.iter().map(|(_, o)| o),
+    )?;
+    if params.dim() != config.sketch.dim() {
+        // Leave the mismatch to the insert below, which names it.
+        return Err(CoreError::DimensionMismatch {
+            expected: config.sketch.dim(),
+            actual: params.dim(),
+        });
+    }
+    Ok(params)
 }
 
 /// The composed search service.
@@ -265,6 +371,7 @@ pub struct FerretService {
     engine: SearchEngine,
     attrs: AttrStore,
     db: Option<Database>,
+    recovery: RecoveryReport,
     telemetry: Option<Arc<MetricsRegistry>>,
     /// Recent query traces. Behind a mutex so the `&self` read path can
     /// record traces from many threads at once.
@@ -324,7 +431,56 @@ impl FerretService {
         registry.register_catalog();
         self.engine.set_telemetry(Some(Arc::clone(&registry)));
         self.cache.set_telemetry(Some(Arc::clone(&registry)));
+        for (stage, wall) in &self.recovery.stages {
+            publish_recovery_stage(&registry, stage, *wall);
+        }
         self.telemetry = Some(registry);
+        self.publish_memory();
+    }
+
+    /// What the last cold start cost (empty for in-memory services).
+    pub fn recovery(&self) -> &RecoveryReport {
+        &self.recovery
+    }
+
+    /// Sets a stage of the recovery report — the caller's own (importer
+    /// state, initial scan) or a repeat of one already recorded.
+    pub fn record_recovery_stage(&mut self, stage: &'static str, wall: Duration) {
+        match self.recovery.stages.iter_mut().find(|(s, _)| *s == stage) {
+            Some(slot) => slot.1 = wall,
+            None => self.recovery.stages.push((stage, wall)),
+        }
+        if let Some(reg) = &self.telemetry {
+            publish_recovery_stage(reg, stage, wall);
+        }
+    }
+
+    /// Refreshes `ferret_memory_bytes{component}` from the components'
+    /// own length-based estimates. Called on open and after mutations,
+    /// never per query.
+    fn publish_memory(&self) {
+        let Some(reg) = &self.telemetry else {
+            return;
+        };
+        let engine = self.engine.memory_estimate();
+        for (component, bytes) in [
+            ("originals", engine.originals),
+            ("sketches", engine.sketches),
+            ("index", engine.index),
+            ("attr", self.attrs.index().memory_bytes()),
+            (
+                "db_tables",
+                self.db.as_ref().map_or(0, Database::memory_bytes),
+            ),
+            ("cache", self.cache.memory_bytes()),
+        ] {
+            reg.gauge(
+                "ferret_memory_bytes",
+                "Estimated resident bytes, by component.",
+                &[("component", component)],
+            )
+            .set(bytes as i64);
+        }
     }
 
     /// Disables telemetry collection (existing metrics are dropped with
@@ -477,6 +633,7 @@ impl FerretService {
                 self.attrs.index_mut().insert(id, attrs);
             }
         }
+        self.publish_memory();
         Ok(())
     }
 
@@ -489,16 +646,18 @@ impl FerretService {
         attributes: Option<Attributes>,
     ) -> Result<(), ServiceError> {
         self.cache.bump_epoch();
+        // Encoded before anything mutates, so an encoding failure leaves
+        // both engine and storage untouched.
+        let encoded_attrs = match (&self.db, &attributes) {
+            (Some(_), Some(attrs)) => Some(ferret_attr::store::encode_attributes(attrs)?),
+            _ => None,
+        };
         self.engine.insert(id, object.clone())?;
         if let Some(db) = self.db.as_mut() {
             let mut txn = db.begin();
             txn.put(FEATURES_TABLE, &id.0.to_le_bytes(), &encode_object(&object));
-            if let Some(attrs) = &attributes {
-                txn.put(
-                    ferret_attr::ATTR_TABLE,
-                    &id.0.to_le_bytes(),
-                    &ferret_attr::store::encode_attributes(attrs)?,
-                );
+            if let Some(bytes) = &encoded_attrs {
+                txn.put(ferret_attr::ATTR_TABLE, &id.0.to_le_bytes(), bytes);
             }
             if let Err(e) = txn.commit() {
                 // Roll the engine back so memory matches storage.
@@ -515,6 +674,7 @@ impl FerretService {
             // above; here only the in-memory index is updated.
             self.attrs.index_mut().insert(id, attrs);
         }
+        self.publish_memory();
         Ok(())
     }
 
@@ -532,13 +692,17 @@ impl FerretService {
             }
         }
         self.attrs.index_mut().remove(id);
+        self.publish_memory();
         Ok(present)
     }
 
-    /// Re-sketches the whole index with parameters derived from the stored
-    /// data (per-dimension min/max), keeping `nbits`/`xor_folds`. No-op on
-    /// an empty index. The paper's evaluation tool exists exactly for this
-    /// tuning loop (§4.3).
+    /// Brings the index to the sketch parameters derived from the stored
+    /// data (per-dimension min/max) under `nbits`/`xor_folds`/`seed`. When
+    /// the engine already has exactly those — it was opened with
+    /// [`ServiceBuilder::derive_sketch_ranges`] and nothing since widened
+    /// a range — nothing is rebuilt; otherwise every object is re-sketched
+    /// in place ([`SearchEngine::retune`]). No-op on an empty index. The
+    /// paper's evaluation tool exists exactly for this tuning loop (§4.3).
     pub fn retune_sketches(
         &mut self,
         nbits: usize,
@@ -546,11 +710,28 @@ impl FerretService {
         seed: u64,
     ) -> Result<(), ServiceError> {
         self.cache.bump_epoch();
+        let start = Instant::now();
+        let outcome = self.retune_if_stale(nbits, xor_folds, seed);
+        self.record_recovery_stage("retune", start.elapsed());
+        outcome
+    }
+
+    fn retune_if_stale(
+        &mut self,
+        nbits: usize,
+        xor_folds: usize,
+        seed: u64,
+    ) -> Result<(), ServiceError> {
         if self.engine.is_empty() {
             return Ok(());
         }
         let params = self.engine.derive_sketch_params(nbits, xor_folds)?;
-        self.engine = self.engine.rebuild(params, seed)?;
+        if params == *self.engine.sketch_builder().params() && seed == self.engine.config().seed {
+            return Ok(());
+        }
+        self.engine.retune(params, seed)?;
+        self.recovery.engine_builds += 1;
+        self.publish_memory();
         Ok(())
     }
 

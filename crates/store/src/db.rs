@@ -100,14 +100,16 @@ impl Database {
             Snapshot::read_from_vfs(vfs.as_ref(), &dir.join(SNAPSHOT_FILE))?.unwrap_or_default();
         let (wal, batches) = Wal::open_with_vfs(Arc::clone(&vfs), &dir.join(WAL_FILE))?;
         let mut tables = snapshot.tables;
-        for batch in &batches {
+        // Consumed batch by batch, so each record's key and value move
+        // into its table instead of living twice until replay ends.
+        for batch in batches {
             // Records at or below the snapshot sequence are already
             // reflected in the snapshot (crash between snapshot write and
             // log reset); re-applying them could resurrect deleted keys.
             if batch.seq <= snapshot.last_seq {
                 continue;
             }
-            Self::apply(&mut tables, &batch.ops);
+            Self::apply(&mut tables, batch.ops);
         }
         Ok(Self {
             dir: dir.to_path_buf(),
@@ -120,18 +122,20 @@ impl Database {
         })
     }
 
-    fn apply(tables: &mut BTreeMap<String, Table>, ops: &[Op]) {
+    fn apply(tables: &mut BTreeMap<String, Table>, ops: Vec<Op>) {
         for op in ops {
             match op {
-                Op::Put { table, key, value } => {
-                    tables
-                        .entry(table.clone())
-                        .or_default()
-                        .put(key.clone(), value.clone());
-                }
+                Op::Put { table, key, value } => match tables.get_mut(table.as_str()) {
+                    Some(t) => {
+                        t.put(key, value);
+                    }
+                    None => {
+                        tables.entry(table).or_default().put(key, value);
+                    }
+                },
                 Op::Delete { table, key } => {
-                    if let Some(t) = tables.get_mut(table) {
-                        t.delete(key);
+                    if let Some(t) = tables.get_mut(table.as_str()) {
+                        t.delete(&key);
                     }
                 }
             }
@@ -156,6 +160,12 @@ impl Database {
     /// Number of entries in a table (0 if the table does not exist).
     pub fn table_len(&self, table: &str) -> usize {
         self.tables.get(table).map_or(0, Table::len)
+    }
+
+    /// Approximate resident bytes of the in-memory tables (see
+    /// [`Table::memory_bytes`]).
+    pub fn memory_bytes(&self) -> usize {
+        self.tables.values().map(Table::memory_bytes).sum()
     }
 
     /// Iterates a table's entries in key order.
@@ -220,7 +230,7 @@ impl Database {
                 }
             }
         }
-        Self::apply(&mut self.tables, &ops);
+        Self::apply(&mut self.tables, ops);
         self.commits_since_checkpoint += 1;
         if let Some(every) = self.options.checkpoint_every {
             if self.commits_since_checkpoint >= every {

@@ -12,6 +12,9 @@ use std::ops::Bound;
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Table {
     map: BTreeMap<Vec<u8>, Vec<u8>>,
+    /// Sum of key and value lengths, kept current by `put`/`delete` so
+    /// [`Table::memory_bytes`] is O(1).
+    payload_bytes: usize,
 }
 
 impl Table {
@@ -27,12 +30,29 @@ impl Table {
 
     /// Inserts or overwrites a key; returns the previous value.
     pub fn put(&mut self, key: Vec<u8>, value: Vec<u8>) -> Option<Vec<u8>> {
-        self.map.insert(key, value)
+        let (key_len, value_len) = (key.len(), value.len());
+        let previous = self.map.insert(key, value);
+        self.payload_bytes += value_len;
+        match &previous {
+            Some(old) => self.payload_bytes -= old.len(),
+            None => self.payload_bytes += key_len,
+        }
+        previous
     }
 
     /// Removes a key; returns the previous value.
     pub fn delete(&mut self, key: &[u8]) -> Option<Vec<u8>> {
-        self.map.remove(key)
+        let previous = self.map.remove(key);
+        if let Some(old) = &previous {
+            self.payload_bytes -= key.len() + old.len();
+        }
+        previous
+    }
+
+    /// Approximate resident bytes: key and value payloads plus the two
+    /// `Vec` headers each entry carries in the tree.
+    pub fn memory_bytes(&self) -> usize {
+        self.payload_bytes + self.map.len() * 2 * std::mem::size_of::<Vec<u8>>()
     }
 
     /// True if the key is present.
@@ -87,12 +107,15 @@ mod tests {
         let mut t = Table::new();
         assert!(t.is_empty());
         assert_eq!(t.put(b"a".to_vec(), b"1".to_vec()), None);
-        assert_eq!(t.put(b"a".to_vec(), b"2".to_vec()), Some(b"1".to_vec()));
-        assert_eq!(t.get(b"a"), Some(b"2".as_ref()));
+        assert_eq!(t.put(b"a".to_vec(), b"22".to_vec()), Some(b"1".to_vec()));
+        assert_eq!(t.get(b"a"), Some(b"22".as_ref()));
         assert!(t.contains(b"a"));
-        assert_eq!(t.delete(b"a"), Some(b"2".to_vec()));
+        // One key byte, two value bytes (the overwrite replaced one), one entry.
+        assert_eq!(t.memory_bytes(), 3 + 2 * std::mem::size_of::<Vec<u8>>());
+        assert_eq!(t.delete(b"a"), Some(b"22".to_vec()));
         assert_eq!(t.get(b"a"), None);
         assert_eq!(t.delete(b"a"), None);
+        assert_eq!(t.memory_bytes(), 0);
     }
 
     #[test]

@@ -44,6 +44,21 @@ echo "==> segmented index: exactness vs monolithic, manifest-swap crash sweep"
 PROPTEST_SEED=20260805 cargo test -q --test segmented_index
 PROPTEST_SEED=20260805 cargo test -q -p ferret-store --test segment_crash_points
 
+echo "==> macro-benchmark: harness self-tests, then every workload at smoke size"
+# The harness is its own package (own lock file); sharing the root target
+# directory reuses the release build above. --smoke drives the real binary
+# through import -> serve -> load on 1000-object corpora and checks every
+# reply; a wrong one prints "correct": false and exits non-zero.
+CARGO_TARGET_DIR=target cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+BENCH_SMOKE="$(CARGO_TARGET_DIR=target cargo run -q --release --offline \
+    --manifest-path benchmark/Cargo.toml -- --smoke)"
+if echo "$BENCH_SMOKE" | grep -q '"correct": false'; then
+    echo "benchmark smoke reported an incorrect run:"
+    echo "$BENCH_SMOKE" | grep '"correct": false'
+    exit 1
+fi
+echo "benchmark smoke OK: $(echo "$BENCH_SMOKE" | grep -c '"correct": true') runs correct"
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 # --all-targets lints tests, benches, and examples too, and clippy.toml's
 # disallowed-methods bans Vfs-bypassing durable writes in production code.
@@ -72,6 +87,11 @@ for _ in $(seq 1 50); do
     sleep 0.2
 done
 [ -n "$HTTP_ADDR" ] || { echo "serve never printed its http address"; cat "$SMOKE_DIR/serve.log"; exit 1; }
+# Cold start sketches and indexes the corpus once: here the one build is
+# the retune after the initial scan filled the empty store (on a restart
+# it would be the open, and the retune a comparison).
+grep -q '^recovery: .*; engine builds: 1$' "$SMOKE_DIR/serve.log" \
+    || { echo "start-up line missing or not a single engine build:"; cat "$SMOKE_DIR/serve.log"; exit 1; }
 # Fetch without curl: bash's /dev/tcp. Raw socket reads can come back
 # truncated under load, so verify the body against Content-Length and
 # retry a few times before giving up (and accept the possibly-short
@@ -139,6 +159,14 @@ echo "$METRICS" | grep -q "^ferret_http_requests_total" \
 for series in ferret_inflight_queries ferret_inflight_queries_peak ferret_rejected_total; do
     echo "$METRICS" | grep -q "^$series" \
         || { echo "/metrics missing $series:"; echo "$METRICS" | grep '^ferret_' | head -n 20; exit 1; }
+done
+# The recovery and memory accounts are published at start-up, one series
+# per stage and per component.
+for series in 'ferret_recovery_seconds{stage="sketch_index"}' 'ferret_recovery_seconds{stage="retune"}' \
+              'ferret_memory_bytes{component="originals"}' 'ferret_memory_bytes{component="attr"}' \
+              'ferret_memory_bytes{component="importer"}'; do
+    echo "$METRICS" | grep -qF "$series" \
+        || { echo "/metrics missing $series:"; echo "$METRICS" | grep -E '^ferret_(recovery|memory)' ; exit 1; }
 done
 # The sketch index instrumented the filter-mode search: the probe counter
 # exists and the filter stage timer carries the indexed strategy label.

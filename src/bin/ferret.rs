@@ -15,6 +15,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::RwLock;
 
@@ -32,6 +33,10 @@ use ferret::query::{
     AdmissionControl, Client, FerretService, HttpServer, ServeConfig, Server, ServiceError,
 };
 use ferret::store::DbOptions;
+
+/// Seed of the sketch construction unit's random `(i, t)` pairs, the same
+/// at open and at retune so an already-tuned store is recognised as such.
+const ENGINE_SEED: u64 = 0xFE44E7;
 
 struct Options {
     db: Option<PathBuf>,
@@ -237,7 +242,8 @@ fn open_service(opts: &Options) -> FerretService {
         std::process::exit(2);
     }
     // Generic vectors: ranges are unknown up front; use a wide symmetric
-    // range. For tighter sketches, derive params from data and rebuild.
+    // range for an empty store. A populated one is sketched once, with
+    // ranges derived from its own vectors (`derive_sketch_ranges`).
     let params = SketchParams::with_options(
         opts.bits,
         opts.xor_folds,
@@ -246,7 +252,7 @@ fn open_service(opts: &Options) -> FerretService {
         None,
     )
     .expect("valid sketch parameters");
-    let mut config = EngineConfig::basic(params, 0xFE44E7);
+    let mut config = EngineConfig::basic(params, ENGINE_SEED);
     config.parallelism = opts.threads;
     config.filter_strategy = opts.filter_strategy;
     config.sketch_strategy = opts.sketch_strategy;
@@ -256,9 +262,15 @@ fn open_service(opts: &Options) -> FerretService {
     let built = FerretService::builder(config)
         .db_options(DbOptions::default())
         .cache_capacity(opts.cache_capacity)
+        .derive_sketch_ranges()
         .open(&db);
     match built {
-        Ok(svc) => svc,
+        Ok(svc) => {
+            if let Some(e) = &svc.recovery().derive_error {
+                eprintln!("warning: sketch retuning failed: {e}");
+            }
+            svc
+        }
         Err(e) => {
             eprintln!("error: cannot open database {}: {e}", db.display());
             std::process::exit(1);
@@ -316,6 +328,18 @@ fn scan_once(service: &mut FerretService, importer: &mut Importer<FvecExtractor>
     }
 }
 
+/// The one `ferret_memory_bytes` component the service cannot see: the
+/// importer's manifest and path → id table live in this process, not in it.
+fn publish_importer_memory(registry: &MetricsRegistry, importer: &Importer<FvecExtractor>) {
+    registry
+        .gauge(
+            "ferret_memory_bytes",
+            "Estimated resident bytes, by component.",
+            &[("component", "importer")],
+        )
+        .set(importer.memory_bytes() as i64);
+}
+
 fn cmd_import(opts: &Options) {
     let watch = opts.watch.clone().unwrap_or_else(|| usage());
     let mut service = open_service(opts);
@@ -332,16 +356,21 @@ fn cmd_import(opts: &Options) {
 fn cmd_serve(opts: &Options) {
     let watch = opts.watch.clone().unwrap_or_else(|| usage());
     let mut service = open_service(opts);
+    let start = Instant::now();
     let mut importer = open_importer(&service, &watch, opts.dim);
+    service.record_recovery_stage("importer_state", start.elapsed());
+    let start = Instant::now();
     let changed = scan_once(&mut service, &mut importer);
+    service.record_recovery_stage("initial_scan", start.elapsed());
     println!(
         "initial scan: {} changes, {} objects indexed",
         changed,
         service.engine().len()
     );
-    // Replace the generic wide sketch ranges with data-derived ones so the
-    // sketches actually discriminate between stored objects.
-    if let Err(e) = service.retune_sketches(opts.bits, opts.xor_folds, 0xFE44E7) {
+    // Objects the scan added were sketched under ranges derived without
+    // them (or the wide ones, on a fresh store); re-derive, which rebuilds
+    // only if that moved a range.
+    if let Err(e) = service.retune_sketches(opts.bits, opts.xor_folds, ENGINE_SEED) {
         eprintln!("warning: sketch retuning failed: {e}");
     } else if !service.engine().is_empty() {
         println!(
@@ -349,9 +378,21 @@ fn cmd_serve(opts: &Options) {
             service.engine().len()
         );
     }
+    let stages: Vec<String> = service
+        .recovery()
+        .stages
+        .iter()
+        .map(|(stage, wall)| format!("{stage} {:.3}s", wall.as_secs_f64()))
+        .collect();
+    println!(
+        "recovery: {}; engine builds: {}",
+        stages.join(", "),
+        service.recovery().engine_builds
+    );
     let registry = opts.telemetry.then(|| Arc::new(MetricsRegistry::new()));
     if let Some(reg) = &registry {
         service.enable_telemetry(Arc::clone(reg));
+        publish_importer_memory(reg, &importer);
     }
     let service = Arc::new(RwLock::new(service));
 
@@ -421,6 +462,9 @@ fn cmd_serve(opts: &Options) {
         };
         if changed > 0 {
             println!("scan: {changed} changes applied");
+            if let Some(reg) = &registry {
+                publish_importer_memory(reg, &importer);
+            }
         }
     }
 }

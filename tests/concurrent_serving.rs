@@ -243,7 +243,13 @@ fn shared_admission_rejects_across_surfaces() {
         hold: None,
         ..config
     };
-    let web = HttpServer::start_with(Arc::clone(&svc), "127.0.0.1:0", http_cfg, admission).unwrap();
+    let web = HttpServer::start_with(
+        Arc::clone(&svc),
+        "127.0.0.1:0",
+        http_cfg,
+        Arc::clone(&admission),
+    )
+    .unwrap();
     let tcp_addr = tcp.addr();
     let web_addr = web.addr();
 
@@ -252,8 +258,13 @@ fn shared_admission_rejects_across_surfaces() {
         let mut client = Client::connect(tcp_addr).unwrap();
         client.send("query id=0 k=2 mode=brute").unwrap()
     });
-    // ...and hammer HTTP until a 503 comes back. Replies must be prompt.
+    // ...wait until it holds the slot (an HTTP query racing it to the slot
+    // would bounce the TCP one instead, and nothing would stay in flight)...
     let deadline = Instant::now() + Duration::from_secs(10);
+    while admission.inflight() == 0 && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    // ...and hammer HTTP until a 503 comes back. Replies must be prompt.
     let mut saw_503 = false;
     while Instant::now() < deadline {
         let start = Instant::now();
