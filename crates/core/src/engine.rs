@@ -13,7 +13,7 @@ use crate::distance::emd::{emd_with_costs, greedy_emd_with_costs, Emd, GreedyEmd
 use crate::distance::{ObjectDistance, SegmentDistance};
 use crate::error::{CoreError, Result};
 use crate::filter::{
-    filter_candidates_indexed_multi, filter_candidates_sharded_traced, FilterParams, FilterStats,
+    filter_candidates_arena, filter_candidates_indexed_multi, FilterParams, FilterStats,
     FilterStrategy, IndexedFilterOutcome, ProbeStats,
 };
 use crate::object::{DataObject, ObjectId};
@@ -25,9 +25,7 @@ use crate::segment::{
 use crate::sketch::{
     ShardedSketchIndex, SketchBuilder, SketchParams, SketchStrategy, SketchedObject,
 };
-use crate::telemetry::{
-    MetricsRegistry, QueryTrace, ShardTrace, StageClock, StageTrace, SIZE_BUCKETS,
-};
+use crate::telemetry::{MetricsRegistry, QueryTrace, StageClock, StageTrace, SIZE_BUCKETS};
 
 /// How a query traverses the dataset (paper §6.3.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -216,11 +214,6 @@ impl EngineConfig {
         self
     }
 }
-
-/// Minimum corpus size at which [`FilterStrategy::Auto`] considers the
-/// multi-index worthwhile; below this a scan is cheaper than probing
-/// `B` hash tables per query segment.
-pub const AUTO_INDEX_MIN_OBJECTS: usize = 256;
 
 /// Maps a ranking distance to a similarity score in `(0, 1]`: `1 / (1 + d)`.
 ///
@@ -521,7 +514,8 @@ impl MetadataFootprint {
 pub struct EngineMemory {
     /// Original feature vectors (0 for sketch-only engines).
     pub originals: usize,
-    /// Segment sketches and weights.
+    /// Segment sketches and weights, plus the sketch arenas the filter
+    /// scans.
     pub sketches: usize,
     /// The sketch filter index(es).
     pub index: usize,
@@ -632,7 +626,7 @@ impl EngineBuilder {
             config.sketch_strategy,
         );
         let sketch_scale = 1.0 / builder.hamming_per_l1();
-        let index_enabled = config.filter_strategy != FilterStrategy::Scan;
+        let index_enabled = config.filter_strategy.builds_index();
         let storage: Box<dyn IndexStorage> = match config.index_layout {
             IndexLayout::Monolithic => {
                 Box::new(MonolithicStorage::new(builder.nbits(), index_enabled)?)
@@ -767,14 +761,13 @@ impl SearchEngine {
         }
     }
 
-    /// Changes the filtering strategy. Switching away from
-    /// [`FilterStrategy::Scan`] builds the multi-index from the stored
-    /// sketches; switching to it drops the index. Results are
+    /// Changes the filtering strategy. Switching to
+    /// [`FilterStrategy::Indexed`] builds the multi-index from the stored
+    /// sketches; switching away from it drops the index. Results are
     /// byte-identical across strategies.
     pub fn set_filter_strategy(&mut self, strategy: FilterStrategy) -> Result<()> {
         self.config.filter_strategy = strategy;
-        self.storage
-            .set_index_enabled(strategy != FilterStrategy::Scan)
+        self.storage.set_index_enabled(strategy.builds_index())
     }
 
     /// The multi-index over segment sketches, if the monolithic layout
@@ -785,7 +778,7 @@ impl SearchEngine {
     }
 
     /// Approximate resident size of the filter index(es), in bytes (0
-    /// when the strategy is [`FilterStrategy::Scan`]).
+    /// unless the strategy is [`FilterStrategy::Indexed`]).
     pub fn filter_index_bytes(&self) -> usize {
         self.storage.index_bytes()
     }
@@ -1072,8 +1065,9 @@ impl SearchEngine {
     }
 
     /// Estimated resident bytes of the engine's three bulk structures,
-    /// from object and segment counts (O(1), except the index term, which
-    /// walks bucket tables — call on mutations, not per query).
+    /// from object and segment counts plus the sketch arenas' capacity
+    /// (O(parts), except the index term, which walks bucket tables — call
+    /// on mutations, not per query).
     pub fn memory_estimate(&self) -> EngineMemory {
         use std::mem::size_of;
         let (objects, segments) = (self.len(), self.segments);
@@ -1091,7 +1085,8 @@ impl SearchEngine {
             + segments
                 * (size_of::<crate::sketch::BitVec>()
                     + sketch_words * size_of::<u64>()
-                    + size_of::<f32>());
+                    + size_of::<f32>())
+            + self.storage.arena_bytes();
         EngineMemory {
             originals,
             sketches,
@@ -1504,46 +1499,27 @@ impl SearchEngine {
                 threads: 1,
             });
         }
-        // Strategy dispatch: `Indexed` always probes (and falls back to a
-        // scan when the probe cannot prove exactness); `Auto` probes only
-        // when the corpus is large, at least one indexed segment exists,
-        // and the thresholds make a fallback impossible, so it never pays
-        // for a wasted probe.
+        // Only `Indexed` probes (and falls back to the arena scan when the
+        // probe cannot prove exactness); every other strategy scans.
         let probe_set = match self.config.filter_strategy {
-            FilterStrategy::Scan => None,
             FilterStrategy::Indexed => self.storage.probe_set(),
-            FilterStrategy::Auto => self.storage.probe_set().filter(|ps| {
-                self.len() >= AUTO_INDEX_MIN_OBJECTS
-                    && ps
-                        .exact_radius()
-                        .is_some_and(|r| options.filter.guarantees_exact_probe(&qs, r))
-            }),
+            FilterStrategy::Scan | FilterStrategy::Auto => None,
         };
         let clock = StageClock::start(trace.is_some());
         let mut strategy = "scan";
         let mut probe_stats: Option<ProbeStats> = None;
-        let mut filter_threads = 0usize;
-        let live = self.storage.live_refs();
-        let scan_fallback = |threads_out: &mut usize| -> Result<(
-            HashSet<ObjectId>,
-            FilterStats,
-            Vec<FilterStats>,
-        )> {
-            let dataset: Vec<(ObjectId, &SketchedObject)> = live
-                .iter()
-                .filter_map(|&(id, so, _)| {
-                    if !self.allowed(id, options) {
-                        return None;
-                    }
-                    Some((id, so))
-                })
-                .collect();
-            let threads = self.config.parallelism.threads_for(dataset.len());
-            *threads_out = threads;
-            filter_candidates_sharded_traced(&qs, &dataset, &options.filter, threads)
+        // The arena scan runs on the calling thread; a probe reports its own
+        // fan-out.
+        let mut filter_threads = 1usize;
+        let scan = || {
+            filter_candidates_arena(
+                &qs,
+                &self.storage.arena_parts(),
+                &options.filter,
+                options.restrict.as_ref(),
+            )
         };
-        let (candidates, fstats, shard_stats): (_, FilterStats, Vec<FilterStats>) = match probe_set
-        {
+        let (candidates, fstats): (_, FilterStats) = match probe_set {
             Some(ps) => {
                 let shard_count: usize = ps.parts.iter().map(|p| p.index.num_shards()).sum();
                 let threads = self.config.parallelism.threads_for(shard_count.max(1));
@@ -1563,16 +1539,16 @@ impl SearchEngine {
                     } => {
                         strategy = "indexed";
                         probe_stats = Some(probe);
-                        (candidates, stats, Vec::new())
+                        (candidates, stats)
                     }
                     IndexedFilterOutcome::Fallback { probe } => {
                         strategy = "indexed-fallback";
                         probe_stats = Some(probe);
-                        scan_fallback(&mut filter_threads)?
+                        scan()?
                     }
                 }
             }
-            None => scan_fallback(&mut filter_threads)?,
+            None => scan()?,
         };
         if let (Some(t), Some(elapsed)) = (trace.as_mut(), clock.elapsed()) {
             t.filter = Some(StageTrace {
@@ -1580,13 +1556,6 @@ impl SearchEngine {
                 threads: filter_threads,
             });
             t.filter_strategy = Some(strategy.to_string());
-            t.shards = shard_stats
-                .iter()
-                .map(|s| ShardTrace {
-                    objects_scanned: s.objects_scanned,
-                    segments_scanned: s.segments_scanned,
-                })
-                .collect();
             t.candidates = candidates.len();
         }
         if let (Some(registry), Some(probe)) = (&self.telemetry, &probe_stats) {
@@ -1606,22 +1575,24 @@ impl SearchEngine {
         }
         if let (Some(registry), Some(allowed)) = (&self.telemetry, &options.restrict) {
             // Predicate pushdown: count queries that carried a candidate
-            // set and how many corpus objects it let the filter skip.
+            // set and how many live objects it let the filter skip — the
+            // live count minus the live members of the set, so no live
+            // list is materialised.
             registry.inc_counter(
                 "ferret_pushdown_queries_total",
                 "Filter-stage queries that carried an attribute candidate set.",
                 &[],
                 1,
             );
-            let skipped = live
+            let allowed_live = allowed
                 .iter()
-                .filter(|(id, _, _)| !allowed.contains(id))
+                .filter(|&&id| self.storage.contains(id))
                 .count();
             registry.inc_counter(
                 "ferret_pushdown_skipped_total",
                 "Objects excluded before heap admission by predicate pushdown.",
                 &[],
-                skipped as u64,
+                (self.len() - allowed_live) as u64,
             );
         }
         stats.objects_scanned = fstats.objects_scanned;

@@ -13,7 +13,7 @@ use std::collections::HashSet;
 
 use crate::error::{CoreError, Result};
 use crate::object::ObjectId;
-use crate::sketch::{ShardedSketchIndex, SketchIndex, SketchedObject};
+use crate::sketch::{ShardedSketchIndex, SketchArena, SketchIndex, SketchedObject};
 
 /// Which execution path the engine's filtering stage uses.
 ///
@@ -25,13 +25,22 @@ use crate::sketch::{ShardedSketchIndex, SketchIndex, SketchedObject};
 pub enum FilterStrategy {
     /// Always stream every stored segment sketch (the paper's behaviour).
     Scan,
-    /// Always probe the multi-index first; scan only on fallback.
+    /// Build the multi-index and always probe it first; scan only on
+    /// fallback.
     Indexed,
-    /// Probe the index when the corpus is large enough and the effective
-    /// per-segment thresholds ([`FilterParams::threshold_for_weight`])
-    /// statically guarantee an exact probe; otherwise scan.
+    /// The shipped default: scan the sketch arenas and build no index. On
+    /// skewed corpora the probe verifies ~44 % of all entries even when it
+    /// is provably exact and is 6–9× slower than the arena scan (DESIGN.md,
+    /// "Sketch arena and filter kernel"), so `Auto` never probes.
     #[default]
     Auto,
+}
+
+impl FilterStrategy {
+    /// True if this strategy builds and maintains the multi-index.
+    pub(crate) fn builds_index(self) -> bool {
+        self == FilterStrategy::Indexed
+    }
 }
 
 impl std::fmt::Display for FilterStrategy {
@@ -116,29 +125,17 @@ impl FilterParams {
             (f64::from(base) * factor).floor().max(0.0) as u32
         })
     }
-
-    /// True if an index probe of guaranteed radius `radius` is *statically*
-    /// exact for `query` under these parameters: every selected query
-    /// segment has an adaptive threshold, and each threshold is at most
-    /// `radius`, so no admissible segment can lie outside the probe's
-    /// no-false-negative zone. The `Auto` strategy uses this to pick the
-    /// index only when a fallback scan is impossible.
-    pub fn guarantees_exact_probe(&self, query: &SketchedObject, radius: u32) -> bool {
-        if query.num_segments() == 0 {
-            return false;
-        }
-        query
-            .segments_by_weight()
-            .into_iter()
-            .take(self.query_segments)
-            .all(|qi| {
-                self.threshold_for_weight(query.weights[qi])
-                    .is_some_and(|t| t <= radius)
-            })
-    }
 }
 
 /// Statistics from one filtering pass.
+///
+/// For a scan, `segments_scanned` and `objects_scanned` count the *live*
+/// segments and objects compared against the query. The arena kernel
+/// ([`filter_candidates_arena`]) compares before it consults the predicate
+/// pushdown set, so for a restricted query they count every live segment
+/// and object, not only the allowed ones; [`filter_candidates`] and
+/// [`filter_candidates_sharded`] count what they were fed. Index probes
+/// count the work they verified (see [`filter_candidates_indexed`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FilterStats {
     /// Dataset segments whose sketches were compared against the query.
@@ -184,6 +181,45 @@ fn admit(heap: &mut BinaryHeap<HeapEntry>, capacity: usize, entry: HeapEntry) {
             heap.pop();
             heap.push(entry);
         }
+    }
+}
+
+/// Tightest admission bound for one query slot: the weight threshold caps
+/// entry outright, and a full heap only admits distances at or below its
+/// current worst (an equal distance can still win on object id). It only
+/// changes after an admission, so scans hoist it out of their loops.
+#[inline]
+fn admission_limit(heap: &BinaryHeap<HeapEntry>, capacity: usize, threshold: u32) -> u32 {
+    match heap.peek() {
+        Some(top) if heap.len() >= capacity => threshold.min(top.hamming),
+        _ => threshold,
+    }
+}
+
+/// The arena kernel's inner loop for one query slot: offers every segment
+/// whose distance is within the running limit to the heap, consulting the
+/// dead and pushdown sets only for those — a few segments per query out of
+/// the whole part.
+#[inline(always)]
+fn walk_arena(
+    heap: &mut BinaryHeap<HeapEntry>,
+    capacity: usize,
+    threshold: u32,
+    distances: impl Iterator<Item = u32>,
+    owners: &[ObjectId],
+    dead: Option<&HashSet<ObjectId>>,
+    restrict: Option<&HashSet<ObjectId>>,
+) {
+    let mut limit = admission_limit(heap, capacity, threshold);
+    for (hamming, &object) in distances.zip(owners) {
+        if hamming > limit
+            || dead.is_some_and(|set| set.contains(&object))
+            || restrict.is_some_and(|set| !set.contains(&object))
+        {
+            continue;
+        }
+        admit(heap, capacity, HeapEntry { hamming, object });
+        limit = admission_limit(heap, capacity, threshold);
     }
 }
 
@@ -244,20 +280,8 @@ impl FilterScan {
         let cap = self.candidates_per_segment;
         for (slot, qs) in self.query_sketches.iter().enumerate() {
             let heap = &mut self.heaps[slot];
-            // Tightest admission bound: the weight threshold caps entry
-            // outright, and a full heap only admits distances at or below
-            // its current worst (an equal distance can still win on object
-            // id). The heap-top read is hoisted out of the segment loop:
-            // while the heap is not yet full the bound is the threshold
-            // alone, and once full it only changes after an admission.
             let threshold = self.thresholds[slot].unwrap_or(u32::MAX);
-            let mut limit = threshold;
-            let mut full = heap.len() >= cap;
-            if full {
-                if let Some(top) = heap.peek() {
-                    limit = limit.min(top.hamming);
-                }
-            }
+            let mut limit = admission_limit(heap, cap, threshold);
             for sketch in &so.sketches {
                 let Some(h) = qs.hamming_within(sketch, limit)? else {
                     continue;
@@ -270,11 +294,58 @@ impl FilterScan {
                         object: id,
                     },
                 );
-                full = full || heap.len() >= cap;
-                if full {
-                    if let Some(top) = heap.peek() {
-                        limit = threshold.min(top.hamming);
-                    }
+                limit = admission_limit(heap, cap, threshold);
+            }
+        }
+        Ok(())
+    }
+
+    /// Walks one arena part for every selected query sketch — the arena
+    /// kernel — and counts the part's live objects and segments, which it
+    /// knows without walking the dead set.
+    fn scan_arena(
+        &mut self,
+        part: &ArenaPart<'_>,
+        restrict: Option<&HashSet<ObjectId>>,
+    ) -> Result<()> {
+        self.stats.objects_scanned += part.live_objects();
+        self.stats.segments_scanned += part.live_segments();
+        let arena = part.arena;
+        if arena.is_empty() {
+            return Ok(());
+        }
+        let width = arena.words_per_sketch();
+        let words = arena.words();
+        let owners = arena.owners();
+        let cap = self.candidates_per_segment;
+        for (slot, qs) in self.query_sketches.iter().enumerate() {
+            if qs.len() != arena.nbits() {
+                return Err(CoreError::SketchLengthMismatch {
+                    left: qs.len(),
+                    right: arena.nbits(),
+                });
+            }
+            let heap = &mut self.heaps[slot];
+            let threshold = self.thresholds[slot].unwrap_or(u32::MAX);
+            match *qs.words() {
+                // The shipped 128-bit sketch: two XOR + popcount per segment
+                // over fixed-size chunks the compiler fully unrolls.
+                [q0, q1] => {
+                    let distances = words
+                        .as_chunks::<2>()
+                        .0
+                        .iter()
+                        .map(|&[a, b]| (a ^ q0).count_ones() + (b ^ q1).count_ones());
+                    walk_arena(heap, cap, threshold, distances, owners, part.dead, restrict);
+                }
+                ref q => {
+                    let distances = words.chunks_exact(width).map(|s| {
+                        s.iter()
+                            .zip(q)
+                            .map(|(a, b)| (a ^ b).count_ones())
+                            .sum::<u32>()
+                    });
+                    walk_arena(heap, cap, threshold, distances, owners, part.dead, restrict);
                 }
             }
         }
@@ -372,12 +443,7 @@ impl FilterScan {
                     stats.segments_scanned += 1;
                     probe.entries_verified += 1;
                     seen_objects.insert(oid);
-                    let mut limit = threshold;
-                    if heap.len() >= cap {
-                        if let Some(top) = heap.peek() {
-                            limit = limit.min(top.hamming);
-                        }
-                    }
+                    let limit = admission_limit(heap, cap, threshold);
                     // The survivor matched the query exactly inside block
                     // `b`, so the Hamming distance over the bits *before*
                     // the block lower-bounds the full distance: reject on
@@ -494,6 +560,66 @@ pub struct IndexedPart<'a> {
     pub dead: Option<&'a HashSet<ObjectId>>,
 }
 
+/// One storage part's sketches as the arena kernel reads them: the part's
+/// [`SketchArena`] plus the removals the arena cannot record in place.
+///
+/// Monolithic storage and the segmented memtable remove from their arena
+/// directly; a sealed segment's arena is immutable, so removals after
+/// sealing land in its dead set until compaction rewrites the segment.
+#[derive(Debug, Clone, Copy)]
+pub struct ArenaPart<'a> {
+    /// Every sketch of the part, back to back, with its owner column.
+    pub arena: &'a SketchArena,
+    /// Objects removed from the part after its arena was built.
+    pub dead: Option<&'a HashSet<ObjectId>>,
+    /// Sketches owned by `dead` objects, so the live count is known
+    /// without walking the dead set per query.
+    pub dead_segments: usize,
+}
+
+impl<'a> ArenaPart<'a> {
+    /// A part with no removals pending.
+    pub fn live(arena: &'a SketchArena) -> Self {
+        Self {
+            arena,
+            dead: None,
+            dead_segments: 0,
+        }
+    }
+
+    /// Live objects in the part.
+    pub fn live_objects(&self) -> usize {
+        self.arena.objects() - self.dead.map_or(0, HashSet::len)
+    }
+
+    /// Live segment sketches in the part.
+    pub fn live_segments(&self) -> usize {
+        self.arena.len() - self.dead_segments
+    }
+}
+
+/// The filtering scan over arena parts: the production scan path.
+///
+/// Walks every part with the arena kernel on the calling thread. Every
+/// segment is compared first; the dead set and `restrict` are consulted
+/// only for segments within the admission limit, and excluded ones are
+/// never offered to a heap. Heap admission is the same total order as
+/// [`filter_candidates`], so the candidate set is identical to it over the
+/// live (and allowed) objects; the statistics count every live object and
+/// segment (see [`FilterStats`]).
+pub fn filter_candidates_arena(
+    query: &SketchedObject,
+    parts: &[ArenaPart<'_>],
+    params: &FilterParams,
+    restrict: Option<&HashSet<ObjectId>>,
+) -> Result<(HashSet<ObjectId>, FilterStats)> {
+    let mut scan = FilterScan::new(query, params)?;
+    for part in parts {
+        scan.scan_arena(part, restrict)?;
+    }
+    Ok(scan.finish())
+}
+
 /// Answers a [`FilterScan`]-shaped query through the multi-index instead
 /// of a full scan.
 ///
@@ -530,16 +656,17 @@ pub fn filter_candidates_indexed(
 /// memtable and not-yet-compacted segments).
 ///
 /// Every part is probed through the same bounded-heap admission; `extras`
-/// are fully observed like a scan would, so they can never cause a
-/// fallback. Exactness is decided against the *weakest* part: any segment
-/// the probe did not surface lies beyond its own part's pigeonhole radius,
-/// which is at least the minimum radius passed to
+/// are walked in full by the arena kernel like a scan would, so they can
+/// never cause a fallback, and count all their live objects and segments
+/// in the statistics. Exactness is decided against the *weakest* part: any
+/// segment the probe did not surface lies beyond its own part's pigeonhole
+/// radius, which is at least the minimum radius passed to
 /// [`FilterScan::complete_within`]. With no parts at all the probe *is* a
 /// full scan of `extras` and is unconditionally exact.
 pub fn filter_candidates_indexed_multi(
     query: &SketchedObject,
     parts: &[IndexedPart<'_>],
-    extras: &[(ObjectId, &SketchedObject)],
+    extras: &[ArenaPart<'_>],
     params: &FilterParams,
     restrict: Option<&HashSet<ObjectId>>,
     threads: usize,
@@ -577,12 +704,9 @@ pub fn filter_candidates_indexed_multi(
         Some(m) => m,
         None => FilterScan::new(query, params)?, // no indexed parts
     };
-    // Unindexed extras are observed in full, exactly like a scan.
-    for &(id, so) in extras {
-        if restrict.is_some_and(|set| !set.contains(&id)) {
-            continue;
-        }
-        merged.observe(id, so)?;
+    // Unindexed extras are walked in full, exactly like a scan.
+    for part in extras {
+        merged.scan_arena(part, restrict)?;
     }
     let radius = parts.iter().map(|p| p.index.exact_radius()).min();
     let exact = match radius {
@@ -628,30 +752,16 @@ where
 /// Results are bit-identical to [`filter_candidates`] over the same
 /// slice for every thread count (see [`FilterScan::merge`]). If several
 /// records fail, the error of the earliest record in slice order is
-/// returned, matching the serial scan.
+/// returned, matching the serial scan. The engine serves from
+/// [`filter_candidates_arena`]; this per-object scan is its reference.
 pub fn filter_candidates_sharded(
     query: &SketchedObject,
     dataset: &[(ObjectId, &SketchedObject)],
     params: &FilterParams,
     threads: usize,
 ) -> Result<(HashSet<ObjectId>, FilterStats)> {
-    let (candidates, stats, _) = filter_candidates_sharded_traced(query, dataset, params, threads)?;
-    Ok((candidates, stats))
-}
-
-/// [`filter_candidates_sharded`] plus the per-shard scan statistics that
-/// went into the merge, for query tracing. The shard list is empty when
-/// the scan ran unsharded (one thread or a tiny dataset).
-pub fn filter_candidates_sharded_traced(
-    query: &SketchedObject,
-    dataset: &[(ObjectId, &SketchedObject)],
-    params: &FilterParams,
-    threads: usize,
-) -> Result<(HashSet<ObjectId>, FilterStats, Vec<FilterStats>)> {
     if threads <= 1 || dataset.len() < 2 {
-        let (candidates, stats) =
-            filter_candidates(query, dataset.iter().map(|&(id, so)| (id, so)), params)?;
-        return Ok((candidates, stats, Vec::new()));
+        return filter_candidates(query, dataset.iter().map(|&(id, so)| (id, so)), params);
     }
     let shard_scans = crate::parallel::map_shards(threads, dataset.len(), |_, range| {
         let mut scan = FilterScan::new(query, params)?;
@@ -660,19 +770,11 @@ pub fn filter_candidates_sharded_traced(
         }
         Ok(scan)
     });
-    let mut merged: Option<FilterScan> = None;
-    let mut shard_stats = Vec::with_capacity(shard_scans.len());
+    let mut merged = FilterScan::new(query, params)?;
     for scan in shard_scans {
-        let scan = scan?;
-        shard_stats.push(scan.stats);
-        match &mut merged {
-            None => merged = Some(scan),
-            Some(m) => m.merge(scan),
-        }
+        merged.merge(scan?);
     }
-    let scan = merged.expect("non-empty dataset implies at least one shard");
-    let (candidates, stats) = scan.finish();
-    Ok((candidates, stats, shard_stats))
+    Ok(merged.finish())
 }
 
 #[cfg(test)]

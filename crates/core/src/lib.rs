@@ -73,7 +73,7 @@ pub mod prelude {
         BitVec, ShardedSketchIndex, SketchBuilder, SketchIndex, SketchParams, SketchedObject,
     };
     pub use crate::telemetry::{
-        Counter, Gauge, Histogram, MetricsRegistry, QueryTrace, ShardTrace, StageTrace,
+        Counter, Gauge, Histogram, MetricsRegistry, QueryTrace, StageTrace,
     };
     pub use crate::vector::FeatureVector;
 }

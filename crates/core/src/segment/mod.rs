@@ -23,7 +23,7 @@
 use std::sync::Arc;
 
 use crate::error::{CoreError, Result};
-use crate::filter::IndexedPart;
+use crate::filter::{ArenaPart, IndexedPart};
 use crate::object::{DataObject, ObjectId};
 use crate::sketch::SketchedObject;
 use crate::telemetry::MetricsRegistry;
@@ -93,52 +93,24 @@ pub struct StorageStats {
 }
 
 /// Everything the indexed filter path needs from a storage layout: the
-/// immutable per-segment indexes (with their dead sets) plus the records
+/// immutable per-segment indexes (with their dead sets) plus the parts
 /// that are not indexed yet and must be scanned outright.
 ///
 /// Fed to [`crate::filter::filter_candidates_indexed_multi`].
 pub struct ProbeSet<'a> {
     /// Indexed parts, in segment order.
     pub parts: Vec<IndexedPart<'a>>,
-    /// Live unindexed records (memtable + segments awaiting compaction),
-    /// in insertion order.
-    pub extras: Vec<(ObjectId, &'a SketchedObject)>,
-}
-
-impl ProbeSet<'_> {
-    /// The guaranteed-exact probe radius of the *weakest* indexed part,
-    /// or `None` when there are no indexed parts (the probe is then a
-    /// full scan and unconditionally exact).
-    pub fn exact_radius(&self) -> Option<u32> {
-        self.parts.iter().map(|p| p.index.exact_radius()).min()
-    }
-}
-
-/// A pinned read view of an [`IndexStorage`]: the epoch it was taken at,
-/// the probe surface, and every live record.
-///
-/// Borrowing `&self` keeps the storage immutable for the snapshot's
-/// lifetime, so the epoch, probe set, and live list are mutually
-/// consistent — a reader iterating the snapshot never sees a half-applied
-/// seal or compaction.
-pub struct StorageSnapshot<'a> {
-    /// The storage's epoch when the snapshot was taken. Advances on every
-    /// mutation (insert, tombstone, seal, compaction apply), so equal
-    /// epochs imply identical visible state.
-    pub epoch: u64,
-    /// The indexed probe surface, `None` when indexing is disabled.
-    pub probe: Option<ProbeSet<'a>>,
-    /// Every live record in insertion order: sealed segments first (in
-    /// seal order), then the memtable.
-    pub live: Vec<(ObjectId, &'a SketchedObject, Option<&'a DataObject>)>,
+    /// Unindexed parts (segments awaiting compaction, then the memtable),
+    /// as arena views.
+    pub extras: Vec<ArenaPart<'a>>,
 }
 
 /// The storage seam between the engine and its object/index state.
 ///
 /// One implementation per [`IndexLayout`]. All mutation happens through
 /// `&mut self` (the service serializes writers behind its lock); readers
-/// borrow plain `&self` views, so the borrow checker enforces that a
-/// snapshot can never observe a torn mutation.
+/// borrow plain `&self` views, so the borrow checker enforces that a view
+/// can never observe a torn mutation.
 pub trait IndexStorage: Send + Sync {
     /// The layout this storage implements.
     fn layout(&self) -> IndexLayout;
@@ -151,7 +123,8 @@ pub trait IndexStorage: Send + Sync {
         self.len() == 0
     }
 
-    /// True if `id` is live.
+    /// True if `id` is live. One hash lookup in every layout: the
+    /// pushdown counter calls it once per member of a query's restrict set.
     fn contains(&self, id: ObjectId) -> bool;
 
     /// The original object, if originals are stored and `id` is live.
@@ -166,6 +139,14 @@ pub trait IndexStorage: Send + Sync {
 
     /// Every live record in insertion order.
     fn live_refs(&self) -> Vec<(ObjectId, &SketchedObject, Option<&DataObject>)>;
+
+    /// One sketch-arena view per storage part (sealed segments in seal
+    /// order, then the memtable; one part for monolithic storage) — what
+    /// the filtering scan walks instead of a per-object live list.
+    fn arena_parts(&self) -> Vec<ArenaPart<'_>>;
+
+    /// Resident bytes of the sketch arenas.
+    fn arena_bytes(&self) -> usize;
 
     /// Inserts a new object. `original` is `None` for sketch-only engines.
     fn insert(
@@ -199,10 +180,10 @@ pub trait IndexStorage: Send + Sync {
     /// an idle write path.
     fn maintain(&mut self) -> Result<()>;
 
-    /// Enables or disables sketch indexing (the [`FilterStrategy::Scan`]
-    /// strategy disables it).
+    /// Enables or disables sketch indexing (only
+    /// [`FilterStrategy::Indexed`] enables it).
     ///
-    /// [`FilterStrategy::Scan`]: crate::filter::FilterStrategy::Scan
+    /// [`FilterStrategy::Indexed`]: crate::filter::FilterStrategy::Indexed
     fn set_index_enabled(&mut self, enabled: bool) -> Result<()>;
 
     /// True if sketch indexing is enabled.
@@ -225,9 +206,6 @@ pub trait IndexStorage: Send + Sync {
 
     /// Monotone version counter; advances on every visible mutation.
     fn epoch(&self) -> u64;
-
-    /// Takes a pinned, mutually consistent read view.
-    fn snapshot(&self) -> StorageSnapshot<'_>;
 
     /// Wires (or unwires) the metrics registry the storage publishes its
     /// gauges and compaction series into.

@@ -1,26 +1,29 @@
-//! The original storage layout: one insertion-ordered object map and one
-//! incrementally maintained [`ShardedSketchIndex`].
+//! The original storage layout: one insertion-ordered object map, one
+//! sketch arena, and (for the `Indexed` strategy) one incrementally
+//! maintained [`ShardedSketchIndex`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::error::{CoreError, Result};
-use crate::filter::IndexedPart;
+use crate::filter::{ArenaPart, IndexedPart};
 use crate::object::{DataObject, ObjectId};
-use crate::sketch::{ShardedSketchIndex, SketchedObject};
+use crate::sketch::{ShardedSketchIndex, SketchArena, SketchedObject};
 use crate::telemetry::MetricsRegistry;
 use ferret_store::SegmentStore;
 
-use super::{IndexLayout, IndexStorage, ProbeSet, StorageSnapshot, StorageStats};
+use super::{IndexLayout, IndexStorage, ProbeSet, StorageStats};
 
-/// One mutable object map plus one mutable sketch index. Removals take
-/// effect immediately; `merge` rebuilds the index in place (the
-/// stop-the-world behavior [`super::SegmentedStorage`] exists to avoid).
+/// One mutable object map, one sketch arena and one optional mutable sketch
+/// index. Removals take effect immediately (the arena moves its tail down);
+/// `merge` rebuilds the index in place (the stop-the-world behavior
+/// [`super::SegmentedStorage`] exists to avoid).
 pub struct MonolithicStorage {
     nbits: usize,
     order: Vec<ObjectId>,
     objects: HashMap<ObjectId, DataObject>,
     sketches: HashMap<ObjectId, SketchedObject>,
+    arena: SketchArena,
     index: Option<ShardedSketchIndex>,
     index_enabled: bool,
     epoch: u64,
@@ -52,6 +55,7 @@ impl MonolithicStorage {
             order: Vec::new(),
             objects: HashMap::new(),
             sketches: HashMap::new(),
+            arena: SketchArena::new(nbits),
             index,
             index_enabled,
             epoch: 0,
@@ -127,8 +131,12 @@ impl IndexStorage for MonolithicStorage {
         if self.sketches.contains_key(&id) {
             return Err(CoreError::DuplicateObject(id.0));
         }
+        self.arena.push(id, &sketched)?;
         if let Some(index) = self.index.as_mut() {
-            index.insert(id, &sketched)?;
+            if let Err(e) = index.insert(id, &sketched) {
+                self.arena.remove(id);
+                return Err(e);
+            }
         }
         self.sketches.insert(id, sketched);
         if let Some(object) = original {
@@ -145,6 +153,7 @@ impl IndexStorage for MonolithicStorage {
         self.objects.remove(&id);
         if present {
             self.order.retain(|&x| x != id);
+            self.arena.remove(id);
             if let Some(index) = self.index.as_mut() {
                 index.remove(id);
             }
@@ -190,6 +199,14 @@ impl IndexStorage for MonolithicStorage {
         self.index_enabled
     }
 
+    fn arena_parts(&self) -> Vec<ArenaPart<'_>> {
+        vec![ArenaPart::live(&self.arena)]
+    }
+
+    fn arena_bytes(&self) -> usize {
+        self.arena.memory_bytes()
+    }
+
     fn probe_set(&self) -> Option<ProbeSet<'_>> {
         self.index.as_ref().map(|index| ProbeSet {
             parts: vec![IndexedPart { index, dead: None }],
@@ -221,14 +238,6 @@ impl IndexStorage for MonolithicStorage {
         self.epoch
     }
 
-    fn snapshot(&self) -> StorageSnapshot<'_> {
-        StorageSnapshot {
-            epoch: self.epoch,
-            probe: self.probe_set(),
-            live: self.live_refs(),
-        }
-    }
-
     fn set_telemetry(&mut self, registry: Option<Arc<MetricsRegistry>>) {
         self.telemetry = registry;
         self.publish_gauges();
@@ -247,10 +256,11 @@ impl IndexStorage for MonolithicStorage {
             order,
             mut objects,
             sketches,
+            arena,
             index,
             ..
         } = *self;
-        drop((sketches, index));
+        drop((sketches, arena, index));
         let originals = order
             .into_iter()
             .filter_map(|id| objects.remove(&id).map(|o| (id, o)))

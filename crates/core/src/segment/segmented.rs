@@ -1,6 +1,7 @@
 //! LSM-style segmented storage: a mutable memtable, immutable sealed
-//! segments (each carrying its own build-once sketch index), per-segment
-//! dead sets for removals, and a background compaction worker.
+//! segments (each carrying its own build-once sketch arena and, for the
+//! `Indexed` strategy, sketch index), per-segment dead sets for removals,
+//! and a background compaction worker.
 //!
 //! Concurrency model: all mutation happens through `&mut self` (the
 //! service serializes writers), so the only cross-thread state is the
@@ -19,13 +20,13 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use crate::error::CoreError;
 use crate::error::Result;
-use crate::filter::IndexedPart;
+use crate::filter::{ArenaPart, IndexedPart};
 use crate::object::{DataObject, ObjectId};
-use crate::sketch::{ShardedSketchIndex, SketchedObject};
+use crate::sketch::{ShardedSketchIndex, SketchArena, SketchedObject};
 use crate::telemetry::{MetricsRegistry, Unit, LATENCY_BUCKETS_NS};
 use ferret_store::{SegmentRecord, SegmentStore};
 
-use super::{store_err, IndexLayout, IndexStorage, ProbeSet, StorageSnapshot, StorageStats};
+use super::{store_err, IndexLayout, IndexStorage, ProbeSet, StorageStats};
 
 const COMPACTIONS_HELP: &str = "Segment compaction merges completed.";
 const COMPACTION_SECONDS_HELP: &str = "Latency of segment compaction merges.";
@@ -34,7 +35,8 @@ const MEMTABLE_HELP: &str = "Objects in the mutable memtable awaiting seal.";
 const INDEX_BYTES_HELP: &str = "Approximate resident size of the sketch filter index.";
 
 /// An immutable sealed segment: a slice of the corpus in insertion order,
-/// plus (usually) a sketch index built once at merge time.
+/// its sketch arena, plus (with indexing on) a sketch index built once at
+/// merge time.
 #[derive(Clone)]
 struct Segment {
     /// Storage-local segment id (also used to match compaction outcomes
@@ -44,6 +46,9 @@ struct Segment {
     ids: Vec<ObjectId>,
     sketches: HashMap<ObjectId, SketchedObject>,
     objects: HashMap<ObjectId, DataObject>,
+    /// Every record's sketches back to back, in `ids` order; taken over
+    /// from the memtable at seal, rebuilt at merge.
+    arena: SketchArena,
     /// Built once when the compactor merges this segment; `None` for a
     /// freshly sealed memtable (sealing must stay cheap).
     index: Option<ShardedSketchIndex>,
@@ -56,11 +61,37 @@ impl Segment {
 }
 
 /// A sealed segment plus its mutable side-state: removals recorded since
-/// sealing, and the durable file id once checkpointed.
+/// sealing (and how many arena sketches they own), and the durable file id
+/// once checkpointed.
 struct SegmentSlot {
     segment: Arc<Segment>,
     dead: HashSet<ObjectId>,
+    dead_segments: usize,
     persist_id: Option<u64>,
+}
+
+impl SegmentSlot {
+    fn new(segment: Segment, dead: HashSet<ObjectId>) -> Self {
+        let dead_segments = dead
+            .iter()
+            .filter_map(|id| segment.sketches.get(id))
+            .map(SketchedObject::num_segments)
+            .sum();
+        Self {
+            segment: Arc::new(segment),
+            dead,
+            dead_segments,
+            persist_id: None,
+        }
+    }
+
+    fn arena_part(&self) -> ArenaPart<'_> {
+        ArenaPart {
+            arena: &self.segment.arena,
+            dead: (!self.dead.is_empty()).then_some(&self.dead),
+            dead_segments: self.dead_segments,
+        }
+    }
 }
 
 /// Work order for the compaction worker.
@@ -175,6 +206,7 @@ fn merge_segments(
     let mut ids = Vec::new();
     let mut sketches = HashMap::new();
     let mut objects = HashMap::new();
+    let mut arena = SketchArena::new(nbits);
     for (i, seg) in inputs.iter().enumerate() {
         let dead = dead_claimed.get(i);
         for id in &seg.ids {
@@ -184,6 +216,7 @@ fn merge_segments(
             let Some(so) = seg.sketches.get(id) else {
                 continue;
             };
+            arena.push(*id, so)?;
             ids.push(*id);
             sketches.insert(*id, so.clone());
             if let Some(obj) = seg.objects.get(id) {
@@ -207,6 +240,7 @@ fn merge_segments(
         ids,
         sketches,
         objects,
+        arena,
         index,
     })
 }
@@ -223,7 +257,11 @@ pub struct SegmentedStorage {
     mem_order: Vec<ObjectId>,
     mem_sketches: HashMap<ObjectId, SketchedObject>,
     mem_objects: HashMap<ObjectId, DataObject>,
+    mem_arena: SketchArena,
     slots: Vec<SegmentSlot>,
+    /// Every live id, memtable and sealed, so membership is one lookup
+    /// instead of a walk over the slots.
+    live: HashSet<ObjectId>,
     next_segment_id: u64,
     epoch: u64,
     /// Bumped whenever the slot list is invalidated wholesale (inline
@@ -262,7 +300,9 @@ impl SegmentedStorage {
             mem_order: Vec::new(),
             mem_sketches: HashMap::new(),
             mem_objects: HashMap::new(),
+            mem_arena: SketchArena::new(nbits),
             slots: Vec::new(),
+            live: HashSet::new(),
             next_segment_id: 0,
             epoch: 0,
             generation: 0,
@@ -358,12 +398,8 @@ impl SegmentedStorage {
                     .copied(),
             );
         }
-        let slot = SegmentSlot {
-            segment: Arc::new(merged),
-            dead,
-            persist_id: None,
-        };
-        self.slots.splice(start..start + len, [slot]);
+        self.slots
+            .splice(start..start + len, [SegmentSlot::new(merged, dead)]);
         self.epoch += 1;
         self.persist_checkpoint()?;
         self.publish_gauges();
@@ -382,13 +418,10 @@ impl SegmentedStorage {
             ids: std::mem::take(&mut self.mem_order),
             sketches: std::mem::take(&mut self.mem_sketches),
             objects: std::mem::take(&mut self.mem_objects),
+            arena: std::mem::replace(&mut self.mem_arena, SketchArena::new(self.nbits)),
             index: None,
         };
-        self.slots.push(SegmentSlot {
-            segment: Arc::new(segment),
-            dead: HashSet::new(),
-            persist_id: None,
-        });
+        self.slots.push(SegmentSlot::new(segment, HashSet::new()));
         self.epoch += 1;
         self.persist_checkpoint()?;
         self.publish_gauges();
@@ -583,7 +616,7 @@ impl IndexStorage for SegmentedStorage {
     }
 
     fn contains(&self, id: ObjectId) -> bool {
-        self.mem_sketches.contains_key(&id) || self.live_slot(id).is_some()
+        self.live.contains(&id)
     }
 
     fn object(&self, id: ObjectId) -> Option<&DataObject> {
@@ -644,11 +677,13 @@ impl IndexStorage for SegmentedStorage {
         if self.contains(id) {
             return Err(CoreError::DuplicateObject(id.0));
         }
+        self.mem_arena.push(id, &sketched)?;
         self.mem_sketches.insert(id, sketched);
         if let Some(object) = original {
             self.mem_objects.insert(id, object);
         }
         self.mem_order.push(id);
+        self.live.insert(id);
         self.epoch += 1;
         if self.mem_order.len() >= self.memtable_size {
             self.seal_memtable()?;
@@ -660,15 +695,25 @@ impl IndexStorage for SegmentedStorage {
 
     fn tombstone(&mut self, id: ObjectId) -> Result<bool> {
         self.apply_pending()?;
+        if !self.live.remove(&id) {
+            return Ok(false);
+        }
         if self.mem_sketches.remove(&id).is_some() {
             self.mem_objects.remove(&id);
             self.mem_order.retain(|&x| x != id);
+            self.mem_arena.remove(id);
             self.epoch += 1;
             self.publish_gauges();
             return Ok(true);
         }
         if let Some(i) = self.live_slot(id) {
-            self.slots[i].dead.insert(id);
+            let slot = &mut self.slots[i];
+            slot.dead_segments += slot
+                .segment
+                .sketches
+                .get(&id)
+                .map_or(0, SketchedObject::num_segments);
+            slot.dead.insert(id);
             self.epoch += 1;
             self.schedule_compaction();
             self.publish_gauges();
@@ -717,6 +762,22 @@ impl IndexStorage for SegmentedStorage {
         self.index_enabled
     }
 
+    fn arena_parts(&self) -> Vec<ArenaPart<'_>> {
+        self.slots
+            .iter()
+            .map(SegmentSlot::arena_part)
+            .chain([ArenaPart::live(&self.mem_arena)])
+            .collect()
+    }
+
+    fn arena_bytes(&self) -> usize {
+        self.slots
+            .iter()
+            .map(|s| s.segment.arena.memory_bytes())
+            .sum::<usize>()
+            + self.mem_arena.memory_bytes()
+    }
+
     fn probe_set(&self) -> Option<ProbeSet<'_>> {
         if !self.index_enabled {
             return None;
@@ -727,29 +788,12 @@ impl IndexStorage for SegmentedStorage {
             match &slot.segment.index {
                 Some(index) => parts.push(IndexedPart {
                     index,
-                    dead: if slot.dead.is_empty() {
-                        None
-                    } else {
-                        Some(&slot.dead)
-                    },
+                    dead: slot.arena_part().dead,
                 }),
-                None => {
-                    for id in &slot.segment.ids {
-                        if slot.dead.contains(id) {
-                            continue;
-                        }
-                        if let Some(so) = slot.segment.sketches.get(id) {
-                            extras.push((*id, so));
-                        }
-                    }
-                }
+                None => extras.push(slot.arena_part()),
             }
         }
-        for id in &self.mem_order {
-            if let Some(so) = self.mem_sketches.get(id) {
-                extras.push((*id, so));
-            }
-        }
+        extras.push(ArenaPart::live(&self.mem_arena));
         Some(ProbeSet { parts, extras })
     }
 
@@ -780,14 +824,6 @@ impl IndexStorage for SegmentedStorage {
 
     fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    fn snapshot(&self) -> StorageSnapshot<'_> {
-        StorageSnapshot {
-            epoch: self.epoch,
-            probe: self.probe_set(),
-            live: self.live_refs(),
-        }
     }
 
     fn set_telemetry(&mut self, registry: Option<Arc<MetricsRegistry>>) {
@@ -821,6 +857,7 @@ impl IndexStorage for SegmentedStorage {
             mem_order,
             mem_sketches,
             mut mem_objects,
+            mem_arena,
             slots,
             compactor,
             persist,
@@ -828,7 +865,7 @@ impl IndexStorage for SegmentedStorage {
         } = *self;
         // Joining the worker first releases its `Arc`s on the segments, so
         // they unwrap below without a copy.
-        drop((compactor, mem_sketches));
+        drop((compactor, mem_sketches, mem_arena));
         let mut originals = Vec::new();
         for slot in slots {
             let Segment {
@@ -953,6 +990,7 @@ mod tests {
                         .map_or(0, |d| d.iter().filter(|id| p.index.contains(**id)).count())
             })
             .sum();
-        assert_eq!(indexed + probe.extras.len(), storage.len());
+        let unindexed: usize = probe.extras.iter().map(ArenaPart::live_objects).sum();
+        assert_eq!(indexed + unindexed, storage.len());
     }
 }

@@ -7,6 +7,7 @@
 //! ℓ₁ distances between the original vectors, typically shrinking metadata by
 //! an order of magnitude.
 
+pub mod arena;
 pub mod bitvec;
 pub mod builder;
 pub mod diskdb;
@@ -14,6 +15,7 @@ pub mod hamming_index;
 pub mod onepass;
 pub mod params;
 
+pub use arena::SketchArena;
 pub use bitvec::BitVec;
 pub use builder::{SketchBuilder, SketchedObject};
 pub use diskdb::{

@@ -576,15 +576,6 @@ pub struct StageTrace {
     pub threads: usize,
 }
 
-/// Per-shard scan statistics from a sharded filter pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardTrace {
-    /// Objects the shard streamed.
-    pub objects_scanned: usize,
-    /// Segment sketches the shard compared.
-    pub segments_scanned: usize,
-}
-
 /// A per-query record of the pipeline's stage breakdown (paper §4.1.1:
 /// sketch → filter → rank).
 ///
@@ -620,9 +611,6 @@ pub struct QueryTrace {
     pub distance_evals: usize,
     /// Results returned.
     pub results: usize,
-    /// Per-shard scan statistics of the filter stage (empty when the
-    /// scan ran unsharded).
-    pub shards: Vec<ShardTrace>,
 }
 
 impl QueryTrace {
@@ -637,22 +625,12 @@ impl QueryTrace {
             ),
             None => "null".to_string(),
         };
-        let shards: Vec<String> = self
-            .shards
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"objects_scanned\":{},\"segments_scanned\":{}}}",
-                    s.objects_scanned, s.segments_scanned
-                )
-            })
-            .collect();
         let opt_str = |s: &Option<String>| match s {
             Some(s) => format!("\"{}\"", escape_label_value(s)),
             None => "null".to_string(),
         };
         format!(
-            "{{\"mode\":\"{}\",\"total_seconds\":{},\"sketch\":{},\"sketch_strategy\":{},\"filter\":{},\"filter_strategy\":{},\"rank\":{},\"objects_scanned\":{},\"segments_scanned\":{},\"candidates\":{},\"distance_evals\":{},\"results\":{},\"shards\":[{}]}}",
+            "{{\"mode\":\"{}\",\"total_seconds\":{},\"sketch\":{},\"sketch_strategy\":{},\"filter\":{},\"filter_strategy\":{},\"rank\":{},\"objects_scanned\":{},\"segments_scanned\":{},\"candidates\":{},\"distance_evals\":{},\"results\":{}}}",
             escape_label_value(&self.mode),
             format_f64(self.total.as_secs_f64()),
             stage(&self.sketch),
@@ -665,7 +643,6 @@ impl QueryTrace {
             self.candidates,
             self.distance_evals,
             self.results,
-            shards.join(",")
         )
     }
 }
@@ -845,26 +822,13 @@ mod tests {
             candidates: 12,
             distance_evals: 12,
             results: 10,
-            shards: vec![
-                ShardTrace {
-                    objects_scanned: 50,
-                    segments_scanned: 125,
-                },
-                ShardTrace {
-                    objects_scanned: 50,
-                    segments_scanned: 125,
-                },
-            ],
         };
         let json = trace.to_json();
         assert!(json.contains("\"mode\":\"filtering\""), "{json}");
         assert!(json.contains("\"sketch_strategy\":\"one-pass\""), "{json}");
         assert!(json.contains("\"candidates\":12"), "{json}");
         assert!(json.contains("\"threads\":4"), "{json}");
-        assert!(
-            json.contains("\"shards\":[{\"objects_scanned\":50"),
-            "{json}"
-        );
+        assert!(json.ends_with("\"results\":10}"), "{json}");
         assert!(!json.contains("null") || trace.sketch.is_none());
     }
 

@@ -485,8 +485,13 @@ mod tests {
             max_inflight: 1,
             hold: Some(Duration::from_millis(400)),
         };
-        let server =
-            Server::start_with(Arc::clone(&svc), "127.0.0.1:0", config, admission).unwrap();
+        let server = Server::start_with(
+            Arc::clone(&svc),
+            "127.0.0.1:0",
+            config,
+            Arc::clone(&admission),
+        )
+        .unwrap();
         let addr = server.addr();
 
         // One client occupies the single slot for ≥400ms...
@@ -494,7 +499,19 @@ mod tests {
             let mut c = Client::connect(addr).unwrap();
             c.send("query id=0 k=2 mode=brute").unwrap()
         });
-        // ...while a second keeps trying until it gets turned away. The
+        // ...and holds it before the second client starts: a second query
+        // racing it to the slot would take the slot itself, bounce the slow
+        // one, and then never find the slot occupied by anyone else.
+        let settle = Instant::now() + Duration::from_secs(5);
+        while admission.inflight() != 1 && Instant::now() < settle {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(
+            admission.inflight(),
+            1,
+            "the slow query never took the slot"
+        );
+        // The second client keeps trying until it gets turned away. The
         // reply must come back promptly (BUSY, not a queued hang).
         let mut fast = Client::connect(addr).unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);

@@ -39,6 +39,10 @@ PROPTEST_SEED=20260805 cargo test -q -p ferret-store
 PROPTEST_SEED=20260805 cargo test -q -p ferret-query \
     --test service_crash_recovery --test store_fault_telemetry
 
+echo "==> sketch arenas: arena kernel == reference scan, both layouts, every width"
+# Fixed seed so the randomized corpora and op scripts are reproducible.
+PROPTEST_SEED=20260805 cargo test -q --test sketch_arena
+
 echo "==> segmented index: exactness vs monolithic, manifest-swap crash sweep"
 # Fixed seed so the randomized op interleavings are reproducible.
 PROPTEST_SEED=20260805 cargo test -q --test segmented_index
@@ -174,8 +178,9 @@ echo "$METRICS" | grep -q "^ferret_filter_buckets_pruned_total" \
     || { echo "/metrics missing ferret_filter_buckets_pruned_total:"; echo "$METRICS" | grep '^ferret_' | head -n 20; exit 1; }
 echo "$METRICS" | grep "^ferret_query_stage_seconds" | grep -q 'strategy="indexed' \
     || { echo "/metrics filter stage missing indexed strategy label:"; echo "$METRICS" | grep '^ferret_query_stage' | head -n 20; exit 1; }
-echo "$METRICS" | grep -q "^ferret_index_memory_bytes" \
-    || { echo "/metrics missing ferret_index_memory_bytes:"; echo "$METRICS" | grep '^ferret_' | head -n 20; exit 1; }
+# The indexed server built the index; its gauge is non-zero.
+echo "$METRICS" | grep -qE "^ferret_index_memory_bytes [1-9][0-9]*" \
+    || { echo "/metrics ferret_index_memory_bytes missing or 0 under --filter-strategy indexed:"; echo "$METRICS" | grep '^ferret_index'; exit 1; }
 # The server ran with --sketch-strategy one-pass: the eagerly registered
 # ingest series exist and the sketch stage timer of the filter-mode
 # search above carries the one-pass strategy label.
@@ -202,6 +207,31 @@ echo "$METRICS" | grep "^ferret_pushdown_queries_total" | grep -qv ' 0$' \
 echo "$METRICS" | grep "^ferret_fusion_queries_total" | grep -q 'mode="rrf"' \
     || { echo "/metrics missing rrf-labelled ferret_fusion_queries_total:"; echo "$METRICS" | grep '^ferret_fusion'; exit 1; }
 echo "smoke OK: /metrics served $(echo "$METRICS" | grep -c '^ferret_') ferret series"
+
+echo "==> smoke: default serve — arena scan, no index built"
+# The shipped default strategy (auto) scans the sketch arenas and builds
+# no multi-index: the filter stage is labelled scan and the index gauge
+# reads 0.
+target/release/ferret serve --db "$SMOKE_DIR/db0" --watch "$SMOKE_DIR/watch" --dim 2 \
+    --tcp 127.0.0.1:0 --http 127.0.0.1:0 > "$SMOKE_DIR/serve0.log" 2>&1 &
+SERVE_PID=$!
+HTTP_ADDR=""
+for _ in $(seq 1 50); do
+    HTTP_ADDR="$(sed -n 's|^web interface on http://\([^/]*\)/$|\1|p' "$SMOKE_DIR/serve0.log")"
+    [ -n "$HTTP_ADDR" ] && break
+    kill -0 "$SERVE_PID" 2>/dev/null || { echo "default serve exited early:"; cat "$SMOKE_DIR/serve0.log"; exit 1; }
+    sleep 0.2
+done
+[ -n "$HTTP_ADDR" ] || { echo "default serve never printed its http address"; cat "$SMOKE_DIR/serve0.log"; exit 1; }
+http_get "/search?id=0&k=2&mode=filter" | grep -q '"results":\[{"id":' \
+    || { echo "default filter-mode /search failed"; exit 1; }
+METRICS="$(http_get /metrics)"
+kill "$SERVE_PID" 2>/dev/null || true
+echo "$METRICS" | grep -qx "ferret_index_memory_bytes 0" \
+    || { echo "default serve built an index:"; echo "$METRICS" | grep '^ferret_index'; exit 1; }
+echo "$METRICS" | grep "^ferret_query_stage_seconds" | grep 'stage="filter"' | grep -q 'strategy="scan"' \
+    || { echo "default filter stage not labelled scan:"; echo "$METRICS" | grep '^ferret_query_stage'; exit 1; }
+echo "default smoke OK: arena scan, ferret_index_memory_bytes 0"
 
 echo "==> smoke: segmented serve — ingest during queries, background compaction, no BUSY"
 # Tiny memtable so a handful of inserts spans many sealed segments, which

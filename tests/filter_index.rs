@@ -148,8 +148,8 @@ proptest! {
         for &(id, so) in &dataset {
             index.insert(id, so).unwrap();
         }
-        // threshold < 8 = block count ⇒ the probe is provably exhaustive.
-        prop_assert!(params.guarantees_exact_probe(&query, index.exact_radius()));
+        // threshold < 8 = block count ⇒ the probe is provably exhaustive,
+        // so it never falls back.
         let mut first: Option<(HashSet<ObjectId>, usize)> = None;
         for threads in [1usize, 2, 7] {
             match filter_candidates_indexed(&query, &index, &params, None, threads).unwrap() {
@@ -217,9 +217,9 @@ fn index_maintenance_tracks_engine_mutations() {
     check(&scan, &indexed, "re-insert after removal");
 }
 
-/// `Auto` serves small corpora with the scan (no probe overhead) and
-/// switches to the index once the corpus and thresholds justify it; an
-/// explicit strategy change rebuilds the index on demand.
+/// `Auto` scans and builds no index, even for corpora and thresholds that
+/// would make a probe exact; an explicit switch to `Indexed` builds the
+/// index on demand and a switch away drops it again.
 #[test]
 fn auto_strategy_and_runtime_switching() {
     let seed = 0xBEEF_u64;
@@ -234,16 +234,19 @@ fn auto_strategy_and_runtime_switching() {
         });
     let mut engine = engine_with(&[], seed, FilterStrategy::Auto);
     let registry = std::sync::Arc::new(ferret::core::telemetry::MetricsRegistry::new());
-    engine.set_telemetry(Some(registry));
-    for i in 0..40u64 {
+    engine.set_telemetry(Some(std::sync::Arc::clone(&registry)));
+    for i in 0..300u64 {
         engine.insert(ObjectId(i), mixed_object(seed, i)).unwrap();
     }
     let resp = engine.query_by_id(ObjectId(0), &exact_opts).unwrap();
     let strategy = resp.trace.unwrap().filter_strategy.unwrap();
-    assert_eq!(
-        strategy, "scan",
-        "small corpora must not pay probe overhead"
-    );
+    assert_eq!(strategy, "scan", "auto must never probe");
+    assert!(engine.filter_index().is_none());
+    assert_eq!(engine.filter_index_bytes(), 0);
+    assert!(registry
+        .render_prometheus()
+        .lines()
+        .any(|line| line == "ferret_index_memory_bytes 0"));
 
     // Force the index regardless of corpus size.
     engine.set_filter_strategy(FilterStrategy::Indexed).unwrap();
@@ -268,10 +271,12 @@ fn auto_strategy_and_runtime_switching() {
     let strategy = resp.trace.unwrap().filter_strategy.unwrap();
     assert_eq!(strategy, "indexed-fallback");
 
-    // Dropping back to Scan frees the index.
-    engine.set_filter_strategy(FilterStrategy::Scan).unwrap();
+    // Dropping back to Auto (or Scan) frees the index.
+    engine.set_filter_strategy(FilterStrategy::Auto).unwrap();
     assert!(engine.filter_index().is_none());
     assert_eq!(engine.filter_index_bytes(), 0);
+    let resp = engine.query_by_id(ObjectId(0), &exact_opts).unwrap();
+    assert_eq!(resp.trace.unwrap().filter_strategy.unwrap(), "scan");
 }
 
 fn tmpdir(name: &str) -> PathBuf {
