@@ -73,44 +73,5 @@ fn bench_query_modes(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_disk_filter(c: &mut Criterion) {
-    // Out-of-core filtering (paper §8 future work): streaming sketches
-    // from a file vs scanning them in memory.
-    use ferret_core::sketch::{filter_candidates_on_disk, SketchFileWriter};
-    let mut group = c.benchmark_group("filter_scan_disk_vs_memory_20k");
-    group.sample_size(10);
-    let engine = engine_with(20_000);
-    let query = engine.sketched(ObjectId(0)).unwrap().clone();
-    let params = FilterParams {
-        query_segments: 2,
-        candidates_per_segment: 40,
-        ..FilterParams::default()
-    };
-    let path =
-        std::env::temp_dir().join(format!("ferret-bench-diskdb-{}.fskd", std::process::id()));
-    let mut writer = SketchFileWriter::create(&path, 96).unwrap();
-    for id in engine.ids() {
-        writer.append(id, engine.sketched(id).unwrap()).unwrap();
-    }
-    writer.finish().unwrap();
-    group.bench_function("memory", |b| {
-        b.iter(|| {
-            let ids = engine.ids();
-            let dataset = ids.iter().map(|&id| (id, engine.sketched(id).unwrap()));
-            black_box(filter_candidates(black_box(&query), dataset, &params).unwrap())
-        });
-    });
-    group.bench_function("disk", |b| {
-        b.iter(|| black_box(filter_candidates_on_disk(&path, black_box(&query), &params).unwrap()));
-    });
-    group.finish();
-    std::fs::remove_file(&path).ok();
-}
-
-criterion_group!(
-    benches,
-    bench_filter_scan,
-    bench_query_modes,
-    bench_disk_filter
-);
+criterion_group!(benches, bench_filter_scan, bench_query_modes);
 criterion_main!(benches);

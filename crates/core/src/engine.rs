@@ -12,19 +12,14 @@ use std::time::{Duration, Instant};
 use crate::distance::emd::{emd_with_costs, greedy_emd_with_costs, Emd, GreedyEmd, ThresholdedEmd};
 use crate::distance::{ObjectDistance, SegmentDistance};
 use crate::error::{CoreError, Result};
-use crate::filter::{
-    filter_candidates_arena, filter_candidates_indexed_multi, FilterParams, FilterStats,
-    FilterStrategy, IndexedFilterOutcome, ProbeStats,
-};
+use crate::filter::{filter_candidates_arena, FilterParams};
 use crate::object::{DataObject, ObjectId};
 use crate::parallel::{try_map_chunked, Parallelism, DEFAULT_CHUNK};
 use crate::rank::{rank_candidates_parallel, rank_scores, SearchResult};
 use crate::segment::{
     IndexLayout, IndexStorage, MonolithicStorage, SegmentedStorage, StorageStats,
 };
-use crate::sketch::{
-    ShardedSketchIndex, SketchBuilder, SketchParams, SketchStrategy, SketchedObject,
-};
+use crate::sketch::{SketchBuilder, SketchParams, SketchStrategy, SketchedObject};
 use crate::telemetry::{MetricsRegistry, QueryTrace, StageClock, StageTrace, SIZE_BUCKETS};
 
 /// How a query traverses the dataset (paper §6.3.3).
@@ -114,10 +109,6 @@ pub struct EngineConfig {
     /// batch sketch construction may use. Results are bit-identical for
     /// every setting; this only trades wall-clock time for cores.
     pub parallelism: Parallelism,
-    /// How the filtering stage traverses the sketch database: full scan,
-    /// multi-index probe, or a per-query automatic choice. Results are
-    /// byte-identical for every setting (see [`FilterStrategy`]).
-    pub filter_strategy: FilterStrategy,
     /// How the sketch construction unit evaluates its `N × K` random
     /// pairs: the paper's per-pair loop or the pre-sorted one-pass plan.
     /// Sketches are byte-identical for every setting (see
@@ -152,7 +143,6 @@ impl EngineConfig {
             ranking: RankingMethod::Emd,
             store_originals: true,
             parallelism: Parallelism::Auto,
-            filter_strategy: FilterStrategy::Auto,
             sketch_strategy: SketchStrategy::Classic,
             index_layout: IndexLayout::default(),
             memtable_size: DEFAULT_MEMTABLE_SIZE,
@@ -181,12 +171,6 @@ impl EngineConfig {
     /// Sets the parallelism budget.
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
-        self
-    }
-
-    /// Sets the filtering strategy.
-    pub fn with_filter_strategy(mut self, filter_strategy: FilterStrategy) -> Self {
-        self.filter_strategy = filter_strategy;
         self
     }
 
@@ -517,19 +501,15 @@ pub struct EngineMemory {
     /// Segment sketches and weights, plus the sketch arenas the filter
     /// scans.
     pub sketches: usize,
-    /// The sketch filter index(es).
-    pub index: usize,
 }
 
 /// Builds a [`SearchEngine`], mirroring `ServiceBuilder` in the query
-/// crate. This is the one construction surface: the deprecated
-/// [`SearchEngine::new`] is a thin wrapper over it.
+/// crate. This is the one construction surface.
 ///
 /// ```
 /// use ferret_core::prelude::*;
 /// let params = SketchParams::new(64, vec![0.0; 2], vec![1.0; 2]).unwrap();
 /// let engine = SearchEngine::builder(params, 42)
-///     .filter_strategy(FilterStrategy::Indexed)
 ///     .index_layout(IndexLayout::Segmented)
 ///     .memtable_size(64)
 ///     .build()
@@ -581,12 +561,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the filtering strategy.
-    pub fn filter_strategy(mut self, filter_strategy: FilterStrategy) -> Self {
-        self.config.filter_strategy = filter_strategy;
-        self
-    }
-
     /// Sets the sketch construction strategy.
     pub fn sketch_strategy(mut self, sketch_strategy: SketchStrategy) -> Self {
         self.config.sketch_strategy = sketch_strategy;
@@ -626,14 +600,10 @@ impl EngineBuilder {
             config.sketch_strategy,
         );
         let sketch_scale = 1.0 / builder.hamming_per_l1();
-        let index_enabled = config.filter_strategy.builds_index();
         let storage: Box<dyn IndexStorage> = match config.index_layout {
-            IndexLayout::Monolithic => {
-                Box::new(MonolithicStorage::new(builder.nbits(), index_enabled)?)
-            }
+            IndexLayout::Monolithic => Box::new(MonolithicStorage::new(builder.nbits())),
             IndexLayout::Segmented => Box::new(SegmentedStorage::new(
                 builder.nbits(),
-                index_enabled,
                 config.memtable_size,
                 config.compaction,
             )),
@@ -658,7 +628,7 @@ pub struct SearchEngine {
     builder: SketchBuilder,
     /// Cached `1 / hamming_per_l1`, the sketch-to-l1 scale factor.
     sketch_scale: f64,
-    /// The full construction configuration, kept so [`SearchEngine::rebuild`]
+    /// The full construction configuration, kept so [`SearchEngine::retune`]
     /// preserves every knob (not just the ones it re-specifies).
     config: EngineConfig,
     /// When set, queries are timed per stage, metrics are recorded into
@@ -675,14 +645,6 @@ impl SearchEngine {
     /// Starts an [`EngineBuilder`] with the conventional configuration.
     pub fn builder(sketch: SketchParams, seed: u64) -> EngineBuilder {
         EngineBuilder::new(sketch, seed)
-    }
-
-    /// Creates an empty engine from a configuration.
-    #[deprecated(since = "0.2.0", note = "use SearchEngine::builder or EngineBuilder")]
-    pub fn new(config: EngineConfig) -> Self {
-        EngineBuilder::from_config(config)
-            .build()
-            .expect("valid sketch params imply valid engine")
     }
 
     /// The engine's sketch construction unit.
@@ -709,11 +671,6 @@ impl SearchEngine {
     /// results are bit-identical across settings.
     pub fn set_parallelism(&mut self, parallelism: Parallelism) {
         self.config.parallelism = parallelism;
-    }
-
-    /// The engine's filtering strategy.
-    pub fn filter_strategy(&self) -> FilterStrategy {
-        self.config.filter_strategy
     }
 
     /// The engine's sketch construction strategy.
@@ -761,28 +718,6 @@ impl SearchEngine {
         }
     }
 
-    /// Changes the filtering strategy. Switching to
-    /// [`FilterStrategy::Indexed`] builds the multi-index from the stored
-    /// sketches; switching away from it drops the index. Results are
-    /// byte-identical across strategies.
-    pub fn set_filter_strategy(&mut self, strategy: FilterStrategy) -> Result<()> {
-        self.config.filter_strategy = strategy;
-        self.storage.set_index_enabled(strategy.builds_index())
-    }
-
-    /// The multi-index over segment sketches, if the monolithic layout
-    /// maintains one (`None` for the segmented layout, whose indexes are
-    /// per-segment).
-    pub fn filter_index(&self) -> Option<&ShardedSketchIndex> {
-        self.storage.monolithic_index()
-    }
-
-    /// Approximate resident size of the filter index(es), in bytes (0
-    /// unless the strategy is [`FilterStrategy::Indexed`]).
-    pub fn filter_index_bytes(&self) -> usize {
-        self.storage.index_bytes()
-    }
-
     /// Point-in-time statistics of the storage layout (segment counts,
     /// memtable occupancy, tombstones).
     pub fn storage_stats(&self) -> StorageStats {
@@ -803,8 +738,8 @@ impl SearchEngine {
     }
 
     /// Runs compaction to quiescence inline: merges small or
-    /// removal-heavy segment runs and builds their indexes synchronously.
-    /// For the monolithic layout this rebuilds the index in place.
+    /// removal-heavy segment runs synchronously. A no-op for the
+    /// monolithic layout.
     pub fn compact(&mut self) -> Result<()> {
         self.storage.merge()
     }
@@ -991,7 +926,7 @@ impl SearchEngine {
     }
 
     /// An empty engine configured like this one except for the sketch
-    /// geometry and seed: the first half of a rebuild.
+    /// geometry and seed: the first half of a retune.
     fn reconfigured(&self, sketch: SketchParams, seed: u64) -> Result<SearchEngine> {
         if !self.config.store_originals {
             return Err(CoreError::InvalidQuery(
@@ -1011,7 +946,7 @@ impl SearchEngine {
             .build()
     }
 
-    /// Sketches and indexes `items` into this (empty) engine and takes
+    /// Sketches `items` into this (empty) engine and takes
     /// over durable segment persistence: the first checkpoint commits a
     /// manifest naming only this engine's segment files, superseding (and
     /// garbage-collecting) the previous owner's.
@@ -1027,30 +962,12 @@ impl SearchEngine {
         }
     }
 
-    /// Builds a second engine with new sketch parameters, re-sketching a
-    /// copy of every stored object (the parameter-tuning loop of paper
-    /// §4.3) and leaving this one untouched — for callers that compare the
-    /// two. A serving process replaces its engine with
-    /// [`SearchEngine::retune`] instead, which never holds both. Requires
-    /// stored originals.
-    pub fn rebuild(&self, sketch: SketchParams, seed: u64) -> Result<SearchEngine> {
-        let mut rebuilt = self.reconfigured(sketch, seed)?;
-        let items: Vec<(ObjectId, DataObject)> = self
-            .storage
-            .live_refs()
-            .into_iter()
-            .filter_map(|(id, _, obj)| obj.map(|o| (id, o.clone())))
-            .collect();
-        rebuilt.adopt(items, self.storage.persistence_handle().cloned())?;
-        Ok(rebuilt)
-    }
-
-    /// Re-sketches this engine in place with new sketch parameters. The
-    /// result is what [`SearchEngine::rebuild`] returns, but the originals
-    /// are moved, not copied, and the old sketches and index are dropped
-    /// before the new ones are built, so the corpus is never resident
-    /// twice. Requires stored originals and parameters of the engine's
-    /// dimensionality; both are checked before anything is torn down.
+    /// Re-sketches this engine in place with new sketch parameters (the
+    /// parameter-tuning loop of paper §4.3). The originals are moved, not
+    /// copied, and the old sketches are dropped before the new ones are
+    /// built, so the corpus is never resident twice. Requires stored
+    /// originals and parameters of the engine's dimensionality; both are
+    /// checked before anything is torn down.
     pub fn retune(&mut self, sketch: SketchParams, seed: u64) -> Result<()> {
         if sketch.dim() != self.builder.params().dim() {
             return Err(CoreError::DimensionMismatch {
@@ -1064,10 +981,9 @@ impl SearchEngine {
         self.adopt(items, store)
     }
 
-    /// Estimated resident bytes of the engine's three bulk structures,
-    /// from object and segment counts plus the sketch arenas' capacity
-    /// (O(parts), except the index term, which walks bucket tables — call
-    /// on mutations, not per query).
+    /// Estimated resident bytes of the engine's two bulk structures, from
+    /// object and segment counts plus the sketch arenas' capacity
+    /// (O(parts)).
     pub fn memory_estimate(&self) -> EngineMemory {
         use std::mem::size_of;
         let (objects, segments) = (self.len(), self.segments);
@@ -1090,7 +1006,6 @@ impl SearchEngine {
         EngineMemory {
             originals,
             sketches,
-            index: self.storage.index_bytes(),
         }
     }
 
@@ -1236,13 +1151,10 @@ impl SearchEngine {
             );
         }
         if let Some(st) = &trace.filter {
-            // The filter stage additionally carries which execution path
-            // ran: "scan", "indexed", or "indexed-fallback".
-            let strategy = trace.filter_strategy.as_deref().unwrap_or("scan");
             registry.observe_latency(
                 "ferret_query_stage_seconds",
                 "Per-stage query latency (sketch, filter scan, EMD rank).",
-                &[("stage", "filter"), ("mode", mode), ("strategy", strategy)],
+                &[("stage", "filter"), ("mode", mode)],
                 st.duration,
             );
         }
@@ -1499,79 +1411,20 @@ impl SearchEngine {
                 threads: 1,
             });
         }
-        // Only `Indexed` probes (and falls back to the arena scan when the
-        // probe cannot prove exactness); every other strategy scans.
-        let probe_set = match self.config.filter_strategy {
-            FilterStrategy::Indexed => self.storage.probe_set(),
-            FilterStrategy::Scan | FilterStrategy::Auto => None,
-        };
         let clock = StageClock::start(trace.is_some());
-        let mut strategy = "scan";
-        let mut probe_stats: Option<ProbeStats> = None;
-        // The arena scan runs on the calling thread; a probe reports its own
-        // fan-out.
-        let mut filter_threads = 1usize;
-        let scan = || {
-            filter_candidates_arena(
-                &qs,
-                &self.storage.arena_parts(),
-                &options.filter,
-                options.restrict.as_ref(),
-            )
-        };
-        let (candidates, fstats): (_, FilterStats) = match probe_set {
-            Some(ps) => {
-                let shard_count: usize = ps.parts.iter().map(|p| p.index.num_shards()).sum();
-                let threads = self.config.parallelism.threads_for(shard_count.max(1));
-                filter_threads = threads;
-                match filter_candidates_indexed_multi(
-                    &qs,
-                    &ps.parts,
-                    &ps.extras,
-                    &options.filter,
-                    options.restrict.as_ref(),
-                    threads,
-                )? {
-                    IndexedFilterOutcome::Exact {
-                        candidates,
-                        stats,
-                        probe,
-                    } => {
-                        strategy = "indexed";
-                        probe_stats = Some(probe);
-                        (candidates, stats)
-                    }
-                    IndexedFilterOutcome::Fallback { probe } => {
-                        strategy = "indexed-fallback";
-                        probe_stats = Some(probe);
-                        scan()?
-                    }
-                }
-            }
-            None => scan()?,
-        };
+        let (candidates, fstats) = filter_candidates_arena(
+            &qs,
+            &self.storage.arena_parts(),
+            &options.filter,
+            options.restrict.as_ref(),
+        )?;
         if let (Some(t), Some(elapsed)) = (trace.as_mut(), clock.elapsed()) {
+            // The arena scan runs on the calling thread.
             t.filter = Some(StageTrace {
                 duration: elapsed,
-                threads: filter_threads,
+                threads: 1,
             });
-            t.filter_strategy = Some(strategy.to_string());
             t.candidates = candidates.len();
-        }
-        if let (Some(registry), Some(probe)) = (&self.telemetry, &probe_stats) {
-            registry.inc_counter(
-                "ferret_filter_buckets_pruned_total",
-                "Index buckets skipped because their block value differed from the query's.",
-                &[],
-                probe.buckets_pruned as u64,
-            );
-            registry.inc_counter(
-                "ferret_filter_restrict_pruned_total",
-                "Index entries skipped inside the probe because the attribute \
-                 candidate set excluded them.",
-                &[],
-                probe.restrict_pruned as u64,
-            );
         }
         if let (Some(registry), Some(allowed)) = (&self.telemetry, &options.restrict) {
             // Predicate pushdown: count queries that carried a candidate
@@ -1971,9 +1824,29 @@ mod tests {
         assert!(e.query(&q, &QueryOptions::brute_force(1)).is_ok());
     }
 
+    /// A fresh engine over `source`'s live objects, built with `configure`
+    /// applied to the conventional builder: the reference a retune must
+    /// reproduce.
+    fn fresh_copy(
+        source: &SearchEngine,
+        sketch: SketchParams,
+        seed: u64,
+        configure: impl FnOnce(EngineBuilder) -> EngineBuilder,
+    ) -> SearchEngine {
+        let mut fresh = configure(SearchEngine::builder(sketch, seed))
+            .build()
+            .unwrap();
+        for id in source.ids() {
+            fresh
+                .insert(id, source.object(id).unwrap().clone())
+                .unwrap();
+        }
+        fresh
+    }
+
     #[test]
-    fn derive_and_rebuild() {
-        let (e, q) = clustered_engine();
+    fn derive_and_retune() {
+        let (mut e, q) = clustered_engine();
         let derived = e.derive_sketch_params(512, 2).unwrap();
         assert_eq!(derived.dim(), 4);
         assert!(derived
@@ -1981,24 +1854,26 @@ mod tests {
             .iter()
             .zip(derived.maxs.iter())
             .all(|(a, b)| a < b));
-        let rebuilt = e.rebuild(derived, 99).unwrap();
-        assert_eq!(rebuilt.len(), e.len());
+        let fresh = fresh_copy(&e, derived.clone(), 99, |b| b);
+        e.retune(derived, 99).unwrap();
+        assert_eq!(e.ids(), fresh.ids());
+        for id in e.ids() {
+            assert_eq!(e.sketched(id), fresh.sketched(id), "{id}");
+        }
         // Data-derived ranges keep retrieval working.
-        let resp = rebuilt
-            .query(&q, &QueryOptions::brute_force_sketch(4))
-            .unwrap();
+        let resp = e.query(&q, &QueryOptions::brute_force_sketch(4)).unwrap();
         let ids: HashSet<u64> = resp.results.iter().map(|r| r.id.0).collect();
         assert_eq!(ids, HashSet::from([0, 1, 2, 3]));
-        // Sketch-only engines cannot rebuild.
+        // Sketch-only engines cannot retune.
         let mut cfg = EngineConfig::basic(params(64, 2), 1);
         cfg.store_originals = false;
-        let sk = EngineBuilder::from_config(cfg).build().unwrap();
+        let mut sk = EngineBuilder::from_config(cfg).build().unwrap();
         assert!(sk.derive_sketch_params(64, 1).is_err());
-        assert!(sk.rebuild(params(64, 2), 0).is_err());
+        assert!(sk.retune(params(64, 2), 0).is_err());
     }
 
     #[test]
-    fn retune_in_place_equals_rebuild_in_both_layouts() {
+    fn retune_in_place_equals_fresh_build_in_both_layouts() {
         for layout in [IndexLayout::Monolithic, IndexLayout::Segmented] {
             let (clustered, _) = clustered_engine();
             let mut e = SearchEngine::builder(params(256, 4), 42)
@@ -2013,20 +1888,22 @@ mod tests {
             // A tombstone inside a sealed segment must not come back.
             assert!(e.remove(ObjectId(1)).unwrap());
             let derived = e.derive_sketch_params(512, 2).unwrap();
-            let rebuilt = e.rebuild(derived.clone(), 99).unwrap();
+            let fresh = fresh_copy(&e, derived.clone(), 99, |b| {
+                b.index_layout(layout).memtable_size(3).compaction(false)
+            });
             let before = e.memory_estimate();
             e.retune(derived.clone(), 99).unwrap();
-            assert_eq!(e.ids(), rebuilt.ids(), "{layout}");
+            assert_eq!(e.ids(), fresh.ids(), "{layout}");
             assert_eq!(e.sketch_builder().params(), &derived);
             assert_eq!(e.config().seed, 99);
             for id in e.ids() {
-                assert_eq!(e.sketched(id), rebuilt.sketched(id), "{layout} {id}");
-                assert_eq!(e.object(id), rebuilt.object(id));
+                assert_eq!(e.sketched(id), fresh.sketched(id), "{layout} {id}");
+                assert_eq!(e.object(id), fresh.object(id));
             }
             // 9 objects × 2 segments survive; only the sketch width grew.
             let after = e.memory_estimate();
             assert_eq!(after.originals, before.originals);
-            assert_eq!(after.originals, rebuilt.memory_estimate().originals);
+            assert_eq!(after.originals, fresh.memory_estimate().originals);
             assert!(after.sketches > before.sketches);
             // A wrong dimensionality is refused before anything is torn down.
             assert!(e.retune(params(64, 2), 1).is_err());

@@ -13,60 +13,7 @@ use std::collections::HashSet;
 
 use crate::error::{CoreError, Result};
 use crate::object::ObjectId;
-use crate::sketch::{ShardedSketchIndex, SketchArena, SketchIndex, SketchedObject};
-
-/// Which execution path the engine's filtering stage uses.
-///
-/// Every strategy returns byte-identical candidate sets: `Indexed` probes
-/// the multi-index and *proves* per query that the probe saw every segment
-/// the scan would have kept (see [`filter_candidates_indexed`]), falling
-/// back to the full scan when it cannot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FilterStrategy {
-    /// Always stream every stored segment sketch (the paper's behaviour).
-    Scan,
-    /// Build the multi-index and always probe it first; scan only on
-    /// fallback.
-    Indexed,
-    /// The shipped default: scan the sketch arenas and build no index. On
-    /// skewed corpora the probe verifies ~44 % of all entries even when it
-    /// is provably exact and is 6–9× slower than the arena scan (DESIGN.md,
-    /// "Sketch arena and filter kernel"), so `Auto` never probes.
-    #[default]
-    Auto,
-}
-
-impl FilterStrategy {
-    /// True if this strategy builds and maintains the multi-index.
-    pub(crate) fn builds_index(self) -> bool {
-        self == FilterStrategy::Indexed
-    }
-}
-
-impl std::fmt::Display for FilterStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            FilterStrategy::Scan => "scan",
-            FilterStrategy::Indexed => "indexed",
-            FilterStrategy::Auto => "auto",
-        })
-    }
-}
-
-impl std::str::FromStr for FilterStrategy {
-    type Err = CoreError;
-
-    fn from_str(s: &str) -> Result<Self> {
-        match s {
-            "scan" => Ok(FilterStrategy::Scan),
-            "indexed" => Ok(FilterStrategy::Indexed),
-            "auto" => Ok(FilterStrategy::Auto),
-            other => Err(CoreError::InvalidQuery(format!(
-                "unknown filter strategy {other:?} (expected scan, indexed, or auto)"
-            ))),
-        }
-    }
-}
+use crate::sketch::{SketchArena, SketchedObject};
 
 /// Parameters of the filtering step.
 #[derive(Debug, Clone, PartialEq)]
@@ -134,8 +81,7 @@ impl FilterParams {
 /// ([`filter_candidates_arena`]) compares before it consults the predicate
 /// pushdown set, so for a restricted query they count every live segment
 /// and object, not only the allowed ones; [`filter_candidates`] and
-/// [`filter_candidates_sharded`] count what they were fed. Index probes
-/// count the work they verified (see [`filter_candidates_indexed`]).
+/// [`filter_candidates_sharded`] count what they were fed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FilterStats {
     /// Dataset segments whose sketches were compared against the query.
@@ -226,11 +172,10 @@ fn walk_arena(
 /// An incremental filtering pass.
 ///
 /// Feed every `(id, sketched_object)` of the dataset through
-/// [`FilterScan::observe`] (in any storage order — memory, disk, network)
-/// and call [`FilterScan::finish`] for the candidate set. The convenience
-/// wrapper [`filter_candidates`] drives it from an iterator; the
-/// out-of-core sketch database streams records from disk into the same
-/// scan.
+/// [`FilterScan::observe`] (in any storage order) and call
+/// [`FilterScan::finish`] for the candidate set. The convenience wrapper
+/// [`filter_candidates`] drives it from an iterator; the per-object scan is
+/// the reference the arena kernel is tested against.
 pub struct FilterScan {
     /// Sketches of the selected (highest-weight) query segments.
     query_sketches: Vec<crate::sketch::BitVec>,
@@ -382,182 +327,6 @@ impl FilterScan {
         self.stats.candidates = candidates.len();
         (candidates, self.stats)
     }
-
-    /// Probes one index shard: for every selected query segment, looks up
-    /// the query's block values, unions the surviving buckets, and feeds
-    /// live survivors through the same bounded-heap admission as a scan.
-    ///
-    /// Statistics convention for probes: `segments_scanned` counts the
-    /// distinct `(query slot, entry)` pairs actually *verified* (offered a
-    /// popcount) and `objects_scanned` the distinct objects among them —
-    /// the real work the index saved relative to a scan. Both are derived
-    /// from bucket contents only, so they are identical for every thread
-    /// count.
-    fn probe_shard(
-        &mut self,
-        shard: &SketchIndex,
-        dead: Option<&HashSet<ObjectId>>,
-        restrict: Option<&HashSet<ObjectId>>,
-        probe: &mut ProbeStats,
-    ) -> Result<()> {
-        let Self {
-            query_sketches,
-            thresholds,
-            candidates_per_segment,
-            heaps,
-            stats,
-        } = self;
-        let cap = *candidates_per_segment;
-        let mut seen_objects: HashSet<ObjectId> = HashSet::new();
-        let mut seen_entries: HashSet<u32> = HashSet::new();
-        for (slot, qs) in query_sketches.iter().enumerate() {
-            seen_entries.clear();
-            let heap = &mut heaps[slot];
-            let threshold = thresholds[slot].unwrap_or(u32::MAX);
-            for b in 0..shard.num_blocks() {
-                let range = shard.block_range(b);
-                let key = shard.block_key(qs, b)?;
-                probe.buckets_probed += 1;
-                let Some(bucket) = shard.bucket(b, key) else {
-                    probe.buckets_pruned += shard.buckets_in_block(b);
-                    continue;
-                };
-                probe.buckets_pruned += shard.buckets_in_block(b) - 1;
-                for &eidx in bucket {
-                    if !seen_entries.insert(eidx) {
-                        continue;
-                    }
-                    let Some((oid, sketch)) = shard.entry(eidx) else {
-                        continue; // tombstoned
-                    };
-                    // Segment-level tombstones (the segmented layout's dead
-                    // set) are removals the immutable index cannot record
-                    // in place; treat them exactly like tombstoned entries.
-                    if dead.is_some_and(|set| set.contains(&oid)) {
-                        continue;
-                    }
-                    if restrict.is_some_and(|set| !set.contains(&oid)) {
-                        probe.restrict_pruned += 1;
-                        continue;
-                    }
-                    stats.segments_scanned += 1;
-                    probe.entries_verified += 1;
-                    seen_objects.insert(oid);
-                    let limit = admission_limit(heap, cap, threshold);
-                    // The survivor matched the query exactly inside block
-                    // `b`, so the Hamming distance over the bits *before*
-                    // the block lower-bounds the full distance: reject on
-                    // the prefix alone when it already exceeds the bound.
-                    if range.start > 0 && qs.hamming_prefix(sketch, range.start)? > limit {
-                        probe.prefix_pruned += 1;
-                        continue;
-                    }
-                    let Some(h) = qs.hamming_within(sketch, limit)? else {
-                        continue;
-                    };
-                    admit(
-                        heap,
-                        cap,
-                        HeapEntry {
-                            hamming: h,
-                            object: oid,
-                        },
-                    );
-                }
-            }
-        }
-        stats.objects_scanned += seen_objects.len();
-        Ok(())
-    }
-
-    /// True if this (merged) scan provably kept everything a full scan
-    /// would keep, given that it only saw segments within Hamming distance
-    /// `radius` of each query segment (plus arbitrary extras).
-    ///
-    /// Per slot, either suffices:
-    /// * the adaptive threshold is at most `radius` — segments beyond the
-    ///   probe's no-false-negative zone were inadmissible anyway; or
-    /// * the heap is full with its worst kept distance at most `radius` —
-    ///   any unseen segment has distance ≥ `radius + 1` > the full scan's
-    ///   own worst kept distance, so it cannot displace anything.
-    fn complete_within(&self, radius: u32) -> bool {
-        (0..self.heaps.len()).all(|slot| {
-            if self.thresholds[slot].is_some_and(|t| t <= radius) {
-                return true;
-            }
-            self.heaps[slot].len() >= self.candidates_per_segment
-                && self.heaps[slot]
-                    .peek()
-                    .is_some_and(|top| top.hamming <= radius)
-        })
-    }
-}
-
-/// Statistics from one multi-index probe (see
-/// [`filter_candidates_indexed`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProbeStats {
-    /// Buckets looked up (one per query slot × block × shard).
-    pub buckets_probed: usize,
-    /// Buckets skipped because their block value differed from the
-    /// query's — segments never touched at all.
-    pub buckets_pruned: usize,
-    /// Distinct `(query slot, entry)` survivors offered a verification.
-    pub entries_verified: usize,
-    /// Survivors rejected on the prefix distance alone, before a full
-    /// popcount.
-    pub prefix_pruned: usize,
-    /// Survivors skipped because the caller's candidate restriction
-    /// (predicate pushdown) excluded their object.
-    pub restrict_pruned: usize,
-}
-
-impl ProbeStats {
-    fn absorb(&mut self, other: ProbeStats) {
-        self.buckets_probed += other.buckets_probed;
-        self.buckets_pruned += other.buckets_pruned;
-        self.entries_verified += other.entries_verified;
-        self.prefix_pruned += other.prefix_pruned;
-        self.restrict_pruned += other.restrict_pruned;
-    }
-}
-
-/// The result of an indexed filtering attempt.
-#[derive(Debug)]
-pub enum IndexedFilterOutcome {
-    /// The probe provably matched a full scan: these candidates (and the
-    /// candidate count in `stats`) are byte-identical to
-    /// [`filter_candidates`] over the same live objects.
-    Exact {
-        /// The candidate object set.
-        candidates: HashSet<ObjectId>,
-        /// Scan statistics (probe convention: work actually done).
-        stats: FilterStats,
-        /// Probe statistics.
-        probe: ProbeStats,
-    },
-    /// The probe could not prove exactness (no threshold within the index
-    /// radius and some k-NN heap not saturated below it); the caller must
-    /// run the full scan.
-    Fallback {
-        /// Probe statistics for the wasted probe.
-        probe: ProbeStats,
-    },
-}
-
-/// One immutable sketch index participating in a probe, with the
-/// segment-level tombstones ("dead set") the index itself cannot record.
-///
-/// The segmented storage layout keeps one [`ShardedSketchIndex`] per
-/// sealed segment; removals after sealing land in the owning segment's
-/// dead set instead of mutating the index. A probe over several parts
-/// skips dead objects exactly as if they had been tombstoned in place.
-#[derive(Debug, Clone, Copy)]
-pub struct IndexedPart<'a> {
-    /// The immutable per-segment index.
-    pub index: &'a ShardedSketchIndex,
-    /// Objects removed from this segment after its index was built.
-    pub dead: Option<&'a HashSet<ObjectId>>,
 }
 
 /// One storage part's sketches as the arena kernel reads them: the part's
@@ -618,111 +387,6 @@ pub fn filter_candidates_arena(
         scan.scan_arena(part, restrict)?;
     }
     Ok(scan.finish())
-}
-
-/// Answers a [`FilterScan`]-shaped query through the multi-index instead
-/// of a full scan.
-///
-/// Shards are probed independently (in parallel across `threads`) and the
-/// per-shard scans merged through the same total-order heap admission as
-/// the sharded scan, so the merged heaps hold the k smallest
-/// `(hamming, object id)` entries of every segment the probe surfaced.
-/// The probe surfaces a *superset* of all segments within Hamming distance
-/// `B − 1` of each query segment (the pigeonhole guarantee of
-/// [`SketchIndex`]); [`FilterScan::complete_within`] then decides whether
-/// that superset provably contains everything a full scan would have kept.
-/// If yes, the outcome is [`IndexedFilterOutcome::Exact`] and bit-identical
-/// to [`filter_candidates`]; otherwise [`IndexedFilterOutcome::Fallback`]
-/// tells the caller to scan.
-pub fn filter_candidates_indexed(
-    query: &SketchedObject,
-    index: &ShardedSketchIndex,
-    params: &FilterParams,
-    restrict: Option<&HashSet<ObjectId>>,
-    threads: usize,
-) -> Result<IndexedFilterOutcome> {
-    filter_candidates_indexed_multi(
-        query,
-        &[IndexedPart { index, dead: None }],
-        &[],
-        params,
-        restrict,
-        threads,
-    )
-}
-
-/// [`filter_candidates_indexed`] generalized to a *set* of immutable
-/// per-segment indexes plus unindexed extras (the segmented layout's
-/// memtable and not-yet-compacted segments).
-///
-/// Every part is probed through the same bounded-heap admission; `extras`
-/// are walked in full by the arena kernel like a scan would, so they can
-/// never cause a fallback, and count all their live objects and segments
-/// in the statistics. Exactness is decided against the *weakest* part: any
-/// segment the probe did not surface lies beyond its own part's pigeonhole
-/// radius, which is at least the minimum radius passed to
-/// [`FilterScan::complete_within`]. With no parts at all the probe *is* a
-/// full scan of `extras` and is unconditionally exact.
-pub fn filter_candidates_indexed_multi(
-    query: &SketchedObject,
-    parts: &[IndexedPart<'_>],
-    extras: &[ArenaPart<'_>],
-    params: &FilterParams,
-    restrict: Option<&HashSet<ObjectId>>,
-    threads: usize,
-) -> Result<IndexedFilterOutcome> {
-    // Flatten to one probe-able shard list so parallelism sees the whole
-    // probe surface, not one part at a time.
-    let flat: Vec<(&SketchIndex, Option<&HashSet<ObjectId>>)> = parts
-        .iter()
-        .flat_map(|p| p.index.shards().iter().map(move |s| (s, p.dead)))
-        .collect();
-    let probe_range = |range: std::ops::Range<usize>| -> Result<(FilterScan, ProbeStats)> {
-        let mut scan = FilterScan::new(query, params)?;
-        let mut probe = ProbeStats::default();
-        for &(shard, dead) in &flat[range] {
-            scan.probe_shard(shard, dead, restrict, &mut probe)?;
-        }
-        Ok((scan, probe))
-    };
-    let outcomes = if threads <= 1 || flat.len() <= 1 {
-        vec![probe_range(0..flat.len())]
-    } else {
-        crate::parallel::map_shards(threads, flat.len(), |_, range| probe_range(range))
-    };
-    let mut merged: Option<FilterScan> = None;
-    let mut probe = ProbeStats::default();
-    for outcome in outcomes {
-        let (scan, p) = outcome?;
-        probe.absorb(p);
-        match &mut merged {
-            None => merged = Some(scan),
-            Some(m) => m.merge(scan),
-        }
-    }
-    let mut merged = match merged {
-        Some(m) => m,
-        None => FilterScan::new(query, params)?, // no indexed parts
-    };
-    // Unindexed extras are walked in full, exactly like a scan.
-    for part in extras {
-        merged.scan_arena(part, restrict)?;
-    }
-    let radius = parts.iter().map(|p| p.index.exact_radius()).min();
-    let exact = match radius {
-        None => true, // everything was fully scanned
-        Some(r) => merged.complete_within(r),
-    };
-    if exact {
-        let (candidates, stats) = merged.finish();
-        Ok(IndexedFilterOutcome::Exact {
-            candidates,
-            stats,
-            probe,
-        })
-    } else {
-        Ok(IndexedFilterOutcome::Fallback { probe })
-    }
 }
 
 /// Streams the sketch database and produces the candidate object set.

@@ -39,7 +39,6 @@ pub mod distance;
 pub mod engine;
 pub mod error;
 pub mod filter;
-pub mod index;
 pub mod object;
 pub mod parallel;
 pub mod plugin;
@@ -62,16 +61,13 @@ pub mod prelude {
         QueryStats, RankingMethod, SearchEngine,
     };
     pub use crate::error::{CoreError, Result};
-    pub use crate::filter::{FilterParams, FilterScan, FilterStats, FilterStrategy, ProbeStats};
-    pub use crate::index::{BandedSketchIndex, BandingParams};
+    pub use crate::filter::{FilterParams, FilterScan, FilterStats};
     pub use crate::object::{DataObject, ObjectId, Segment};
     pub use crate::parallel::Parallelism;
     pub use crate::plugin::{Extractor, FileExtractor};
     pub use crate::rank::SearchResult;
     pub use crate::segment::{IndexLayout, IndexStorage, StorageStats};
-    pub use crate::sketch::{
-        BitVec, ShardedSketchIndex, SketchBuilder, SketchIndex, SketchParams, SketchedObject,
-    };
+    pub use crate::sketch::{BitVec, SketchBuilder, SketchParams, SketchedObject};
     pub use crate::telemetry::{
         Counter, Gauge, Histogram, MetricsRegistry, QueryTrace, StageTrace,
     };

@@ -1,29 +1,26 @@
 //! Index storage layouts: the monolithic engine state and the LSM-style
 //! segmented layout, behind one [`IndexStorage`] seam.
 //!
-//! The engine historically owned one mutable object map plus one mutable
-//! [`ShardedSketchIndex`]; every structural change (index rebuild, retune)
-//! was stop-the-world. This module extracts that state behind a trait with
-//! two implementations:
+//! Two implementations:
 //!
 //! * [`MonolithicStorage`] — the original behavior: one insertion-ordered
-//!   map and one incrementally maintained index.
+//!   map and one sketch arena, mutated in place.
 //! * [`SegmentedStorage`] — an LSM-style layout: a small mutable
 //!   **memtable** absorbs inserts; when it reaches the configured size it
 //!   is **sealed** into an immutable segment; a background **compaction**
-//!   worker merges adjacent small segments and builds each merged
-//!   segment's index off the write path; removals land in per-segment
-//!   **dead sets** until compaction reclaims them.
+//!   worker merges adjacent small segments off the write path; removals
+//!   land in per-segment **dead sets** until compaction reclaims them.
 //!
 //! The exactness contract is layout-independent: query results are
 //! bit-identical across layouts for the same live object set (pinned by
-//! `tests/segmented_index.rs`), because probes and scans share the same
-//! total-order heap admission (see [`crate::filter`]).
+//! `tests/segmented_index.rs`), because the filter's heap admission is a
+//! total order that does not depend on part boundaries (see
+//! [`crate::filter`]).
 
 use std::sync::Arc;
 
 use crate::error::{CoreError, Result};
-use crate::filter::{ArenaPart, IndexedPart};
+use crate::filter::ArenaPart;
 use crate::object::{DataObject, ObjectId};
 use crate::sketch::SketchedObject;
 use crate::telemetry::MetricsRegistry;
@@ -35,16 +32,15 @@ mod segmented;
 pub use monolithic::MonolithicStorage;
 pub use segmented::SegmentedStorage;
 
-/// Which storage layout backs the engine's object maps and sketch index.
+/// Which storage layout backs the engine's object maps and sketch arenas.
 ///
 /// Both layouts answer every query bit-identically; they differ in how
 /// structural maintenance interacts with ingest. `Monolithic` mutates one
-/// index in place and rebuilds it stop-the-world; `Segmented` seals
-/// immutable segments and compacts them in the background, so reads never
-/// wait on an index build.
+/// arena in place; `Segmented` seals immutable segments and compacts them
+/// in the background.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IndexLayout {
-    /// One mutable object map and one mutable sketch index (the original
+    /// One mutable object map and one mutable sketch arena (the original
     /// engine behavior).
     #[default]
     Monolithic,
@@ -86,26 +82,11 @@ pub struct StorageStats {
     pub memtable_objects: usize,
     /// Immutable sealed segments (0 for monolithic).
     pub sealed_segments: usize,
-    /// Sealed segments whose per-segment index has been built.
-    pub indexed_segments: usize,
     /// Removed objects whose storage has not been reclaimed yet.
     pub tombstones: usize,
 }
 
-/// Everything the indexed filter path needs from a storage layout: the
-/// immutable per-segment indexes (with their dead sets) plus the parts
-/// that are not indexed yet and must be scanned outright.
-///
-/// Fed to [`crate::filter::filter_candidates_indexed_multi`].
-pub struct ProbeSet<'a> {
-    /// Indexed parts, in segment order.
-    pub parts: Vec<IndexedPart<'a>>,
-    /// Unindexed parts (segments awaiting compaction, then the memtable),
-    /// as arena views.
-    pub extras: Vec<ArenaPart<'a>>,
-}
-
-/// The storage seam between the engine and its object/index state.
+/// The storage seam between the engine and its object and sketch state.
 ///
 /// One implementation per [`IndexLayout`]. All mutation happens through
 /// `&mut self` (the service serializes writers behind its lock); readers
@@ -168,10 +149,9 @@ pub trait IndexStorage: Send + Sync {
     fn seal(&mut self) -> Result<()>;
 
     /// Runs compaction to quiescence *inline* and deterministically:
-    /// applies any finished background merges, then merges/builds until no
-    /// maintenance is due. For monolithic storage this rebuilds the index
-    /// from the live set (reclaiming tombstones) — the stop-the-world
-    /// behavior the segmented layout exists to avoid.
+    /// applies any finished background merges, then merges until no
+    /// maintenance is due. A no-op for monolithic storage, which removes
+    /// in place.
     fn merge(&mut self) -> Result<()>;
 
     /// Applies finished background work and schedules any due compaction,
@@ -179,27 +159,6 @@ pub trait IndexStorage: Send + Sync {
     /// periodic caller (the serve scan loop) guarantees progress even on
     /// an idle write path.
     fn maintain(&mut self) -> Result<()>;
-
-    /// Enables or disables sketch indexing (only
-    /// [`FilterStrategy::Indexed`] enables it).
-    ///
-    /// [`FilterStrategy::Indexed`]: crate::filter::FilterStrategy::Indexed
-    fn set_index_enabled(&mut self, enabled: bool) -> Result<()>;
-
-    /// True if sketch indexing is enabled.
-    fn index_enabled(&self) -> bool;
-
-    /// The indexed probe surface, `None` when indexing is disabled.
-    fn probe_set(&self) -> Option<ProbeSet<'_>>;
-
-    /// The monolithic sketch index, if this layout maintains exactly one
-    /// (diagnostics; segmented storage returns `None`).
-    fn monolithic_index(&self) -> Option<&crate::sketch::ShardedSketchIndex> {
-        None
-    }
-
-    /// Approximate resident bytes of all sketch indexes.
-    fn index_bytes(&self) -> usize;
 
     /// Point-in-time layout statistics.
     fn stats(&self) -> StorageStats;
@@ -217,12 +176,9 @@ pub trait IndexStorage: Send + Sync {
     /// Monolithic storage has no segments to persist and ignores this.
     fn attach_persistence(&mut self, store: SegmentStore) -> Result<()>;
 
-    /// The attached segment store, if any.
-    fn persistence_handle(&self) -> Option<&SegmentStore>;
-
-    /// Tears the storage down to what a rebuild needs: the live originals
+    /// Tears the storage down to what a retune needs: the live originals
     /// in insertion order, moved out, and the attached segment store.
-    /// Sketches, indexes and tombstoned records are dropped on the way, so
+    /// Sketches, arenas and tombstoned records are dropped on the way, so
     /// the caller can build their replacements without holding both.
     fn into_originals(self: Box<Self>) -> (Vec<(ObjectId, DataObject)>, Option<SegmentStore>);
 }

@@ -1,13 +1,12 @@
 //! LSM-style segmented storage: a mutable memtable, immutable sealed
-//! segments (each carrying its own build-once sketch arena and, for the
-//! `Indexed` strategy, sketch index), per-segment dead sets for removals,
-//! and a background compaction worker.
+//! segments (each carrying its own build-once sketch arena), per-segment
+//! dead sets for removals, and a background compaction worker.
 //!
 //! Concurrency model: all mutation happens through `&mut self` (the
 //! service serializes writers), so the only cross-thread state is the
 //! compaction mailbox. Writers enqueue a merge job carrying `Arc` clones
 //! of the input segments plus a snapshot of their dead sets; the worker
-//! merges off-thread (including the expensive index build) and posts a
+//! merges off-thread and posts a
 //! [`MergeOutcome`] to an outbox. The next `&mut` operation applies it:
 //! if the input run is still present and the generation matches, the run
 //! is spliced out for the merged segment, carrying forward any removals
@@ -20,23 +19,21 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use crate::error::CoreError;
 use crate::error::Result;
-use crate::filter::{ArenaPart, IndexedPart};
+use crate::filter::ArenaPart;
 use crate::object::{DataObject, ObjectId};
-use crate::sketch::{ShardedSketchIndex, SketchArena, SketchedObject};
+use crate::sketch::{SketchArena, SketchedObject};
 use crate::telemetry::{MetricsRegistry, Unit, LATENCY_BUCKETS_NS};
 use ferret_store::{SegmentRecord, SegmentStore};
 
-use super::{store_err, IndexLayout, IndexStorage, ProbeSet, StorageStats};
+use super::{store_err, IndexLayout, IndexStorage, StorageStats};
 
 const COMPACTIONS_HELP: &str = "Segment compaction merges completed.";
 const COMPACTION_SECONDS_HELP: &str = "Latency of segment compaction merges.";
 const SEGMENTS_HELP: &str = "Immutable sealed segments in the engine.";
 const MEMTABLE_HELP: &str = "Objects in the mutable memtable awaiting seal.";
-const INDEX_BYTES_HELP: &str = "Approximate resident size of the sketch filter index.";
 
-/// An immutable sealed segment: a slice of the corpus in insertion order,
-/// its sketch arena, plus (with indexing on) a sketch index built once at
-/// merge time.
+/// An immutable sealed segment: a slice of the corpus in insertion order
+/// and its sketch arena.
 #[derive(Clone)]
 struct Segment {
     /// Storage-local segment id (also used to match compaction outcomes
@@ -49,9 +46,6 @@ struct Segment {
     /// Every record's sketches back to back, in `ids` order; taken over
     /// from the memtable at seal, rebuilt at merge.
     arena: SketchArena,
-    /// Built once when the compactor merges this segment; `None` for a
-    /// freshly sealed memtable (sealing must stay cheap).
-    index: Option<ShardedSketchIndex>,
 }
 
 impl Segment {
@@ -99,7 +93,6 @@ struct MergeJob {
     generation: u64,
     out_id: u64,
     nbits: usize,
-    build_index: bool,
     inputs: Vec<Arc<Segment>>,
     dead_claimed: Vec<HashSet<ObjectId>>,
     telemetry: Option<Arc<MetricsRegistry>>,
@@ -167,13 +160,7 @@ fn worker_loop(shared: Arc<CompactorShared>) {
         };
         let start = std::time::Instant::now();
         let input_ids = job.inputs.iter().map(|s| s.id).collect();
-        let merged = merge_segments(
-            job.out_id,
-            job.nbits,
-            job.build_index,
-            &job.inputs,
-            &job.dead_claimed,
-        );
+        let merged = merge_segments(job.out_id, job.nbits, &job.inputs, &job.dead_claimed);
         if let Some(registry) = &job.telemetry {
             registry.inc_counter("ferret_compactions_total", COMPACTIONS_HELP, &[], 1);
             registry.observe_latency(
@@ -199,7 +186,6 @@ fn worker_loop(shared: Arc<CompactorShared>) {
 fn merge_segments(
     out_id: u64,
     nbits: usize,
-    build_index: bool,
     inputs: &[Arc<Segment>],
     dead_claimed: &[HashSet<ObjectId>],
 ) -> Result<Segment> {
@@ -224,36 +210,22 @@ fn merge_segments(
             }
         }
     }
-    let index = if build_index {
-        let mut index = ShardedSketchIndex::new(nbits)?;
-        for id in &ids {
-            if let Some(so) = sketches.get(id) {
-                index.insert(*id, so)?;
-            }
-        }
-        Some(index)
-    } else {
-        None
-    };
     Ok(Segment {
         id: out_id,
         ids,
         sketches,
         objects,
         arena,
-        index,
     })
 }
 
 /// LSM-style [`IndexStorage`]: inserts land in a small mutable memtable,
 /// sealed segments are immutable, and a background worker merges small or
-/// removal-heavy runs (building each merged segment's index off the write
-/// path). Reads never wait on an index build.
+/// removal-heavy runs off the write path.
 pub struct SegmentedStorage {
     nbits: usize,
     memtable_size: usize,
     compaction: bool,
-    index_enabled: bool,
     mem_order: Vec<ObjectId>,
     mem_sketches: HashMap<ObjectId, SketchedObject>,
     mem_objects: HashMap<ObjectId, DataObject>,
@@ -265,7 +237,7 @@ pub struct SegmentedStorage {
     next_segment_id: u64,
     epoch: u64,
     /// Bumped whenever the slot list is invalidated wholesale (inline
-    /// merge, index toggle); outcomes from older generations are
+    /// merge); outcomes from older generations are
     /// discarded on apply.
     generation: u64,
     /// At most one background merge outstanding.
@@ -291,12 +263,11 @@ impl SegmentedStorage {
     /// threshold (clamped to at least 1); `compaction` controls the
     /// background worker — with it off, segments only merge through
     /// explicit [`IndexStorage::merge`] calls (deterministic, for tests).
-    pub fn new(nbits: usize, index_enabled: bool, memtable_size: usize, compaction: bool) -> Self {
+    pub fn new(nbits: usize, memtable_size: usize, compaction: bool) -> Self {
         Self {
             nbits,
             memtable_size: memtable_size.max(1),
             compaction,
-            index_enabled,
             mem_order: Vec::new(),
             mem_sketches: HashMap::new(),
             mem_objects: HashMap::new(),
@@ -328,9 +299,6 @@ impl SegmentedStorage {
             registry
                 .gauge("ferret_memtable_objects", MEMTABLE_HELP, &[])
                 .set(self.mem_order.len() as i64);
-            registry
-                .gauge("ferret_index_memory_bytes", INDEX_BYTES_HELP, &[])
-                .set(self.index_bytes() as i64);
         }
     }
 
@@ -406,7 +374,7 @@ impl SegmentedStorage {
         Ok(())
     }
 
-    /// Freezes the memtable into a new (unindexed) sealed segment.
+    /// Freezes the memtable into a new sealed segment.
     fn seal_memtable(&mut self) -> Result<()> {
         if self.mem_order.is_empty() {
             return Ok(());
@@ -419,7 +387,6 @@ impl SegmentedStorage {
             sketches: std::mem::take(&mut self.mem_sketches),
             objects: std::mem::take(&mut self.mem_objects),
             arena: std::mem::replace(&mut self.mem_arena, SketchArena::new(self.nbits)),
-            index: None,
         };
         self.slots.push(SegmentSlot::new(segment, HashSet::new()));
         self.epoch += 1;
@@ -429,17 +396,13 @@ impl SegmentedStorage {
     }
 
     /// Picks the next contiguous run to compact: the first maximal run of
-    /// two or more candidate slots (unindexed while indexing is on, small,
-    /// or removal-heavy), else a lone slot that needs an index build or a
-    /// removal sweep. Returns `(start, len)`.
+    /// two or more candidate slots (small or removal-heavy), else a lone
+    /// slot that needs a removal sweep. Returns `(start, len)`.
     fn plan_merge(&self) -> Option<(usize, usize)> {
         let small_limit = self.memtable_size.saturating_mul(4).max(8);
-        let needs_rewrite = |slot: &SegmentSlot| {
-            (self.index_enabled && slot.segment.index.is_none())
-                || slot.dead.len() * 2 >= slot.segment.ids.len().max(1)
-        };
+        let needs_sweep = |slot: &SegmentSlot| slot.dead.len() * 2 >= slot.segment.ids.len().max(1);
         let candidate = |slot: &SegmentSlot| {
-            needs_rewrite(slot) || slot.segment.live_count(&slot.dead) < small_limit
+            needs_sweep(slot) || slot.segment.live_count(&slot.dead) < small_limit
         };
         let mut start = 0;
         while start < self.slots.len() {
@@ -454,10 +417,10 @@ impl SegmentedStorage {
             if end - start >= 2 {
                 return Some((start, end - start));
             }
-            // A lone candidate is only worth rewriting if it needs an
-            // index build or a removal sweep; re-merging a small but
-            // healthy segment by itself would loop forever.
-            if needs_rewrite(&self.slots[start]) {
+            // A lone candidate is only worth rewriting if it needs a
+            // removal sweep; re-merging a small but healthy segment by
+            // itself would loop forever.
+            if needs_sweep(&self.slots[start]) {
                 return Some((start, 1));
             }
             start = end;
@@ -530,7 +493,6 @@ impl SegmentedStorage {
             generation: self.generation,
             out_id,
             nbits: self.nbits,
-            build_index: self.index_enabled,
             inputs,
             dead_claimed,
             telemetry: self.telemetry.clone(),
@@ -580,13 +542,7 @@ impl SegmentedStorage {
         let out_id = self.next_segment_id;
         self.next_segment_id += 1;
         let begin = std::time::Instant::now();
-        let merged = merge_segments(
-            out_id,
-            self.nbits,
-            self.index_enabled,
-            &inputs,
-            &dead_claimed,
-        )?;
+        let merged = merge_segments(out_id, self.nbits, &inputs, &dead_claimed)?;
         if let Some(registry) = &self.telemetry {
             registry.inc_counter("ferret_compactions_total", COMPACTIONS_HELP, &[], 1);
             registry.observe_latency(
@@ -744,24 +700,6 @@ impl IndexStorage for SegmentedStorage {
         Ok(())
     }
 
-    fn set_index_enabled(&mut self, enabled: bool) -> Result<()> {
-        self.apply_pending()?;
-        if enabled == self.index_enabled {
-            return Ok(());
-        }
-        self.index_enabled = enabled;
-        // In-flight jobs were planned under the other indexing mode.
-        self.generation += 1;
-        self.epoch += 1;
-        self.schedule_compaction();
-        self.publish_gauges();
-        Ok(())
-    }
-
-    fn index_enabled(&self) -> bool {
-        self.index_enabled
-    }
-
     fn arena_parts(&self) -> Vec<ArenaPart<'_>> {
         self.slots
             .iter()
@@ -778,46 +716,11 @@ impl IndexStorage for SegmentedStorage {
             + self.mem_arena.memory_bytes()
     }
 
-    fn probe_set(&self) -> Option<ProbeSet<'_>> {
-        if !self.index_enabled {
-            return None;
-        }
-        let mut parts = Vec::new();
-        let mut extras = Vec::new();
-        for slot in &self.slots {
-            match &slot.segment.index {
-                Some(index) => parts.push(IndexedPart {
-                    index,
-                    dead: slot.arena_part().dead,
-                }),
-                None => extras.push(slot.arena_part()),
-            }
-        }
-        extras.push(ArenaPart::live(&self.mem_arena));
-        Some(ProbeSet { parts, extras })
-    }
-
-    fn index_bytes(&self) -> usize {
-        if !self.index_enabled {
-            return 0;
-        }
-        self.slots
-            .iter()
-            .filter_map(|s| s.segment.index.as_ref())
-            .map(ShardedSketchIndex::memory_bytes)
-            .sum()
-    }
-
     fn stats(&self) -> StorageStats {
         StorageStats {
             live_objects: self.len(),
             memtable_objects: self.mem_order.len(),
             sealed_segments: self.slots.len(),
-            indexed_segments: self
-                .slots
-                .iter()
-                .filter(|s| s.segment.index.is_some())
-                .count(),
             tombstones: self.slots.iter().map(|s| s.dead.len()).sum(),
         }
     }
@@ -846,10 +749,6 @@ impl IndexStorage for SegmentedStorage {
     fn attach_persistence(&mut self, store: SegmentStore) -> Result<()> {
         self.persist = Some(store);
         self.persist_checkpoint()
-    }
-
-    fn persistence_handle(&self) -> Option<&SegmentStore> {
-        self.persist.as_ref()
     }
 
     fn into_originals(self: Box<Self>) -> (Vec<(ObjectId, DataObject)>, Option<SegmentStore>) {
@@ -913,7 +812,7 @@ mod tests {
     #[test]
     fn seal_and_inline_merge_preserve_order() {
         let builder = test_builder();
-        let mut storage = SegmentedStorage::new(builder.nbits(), true, 4, false);
+        let mut storage = SegmentedStorage::new(builder.nbits(), 4, false);
         fill(&mut storage, &builder, 0..10);
         let stats = storage.stats();
         assert_eq!(stats.live_objects, 10);
@@ -925,14 +824,13 @@ mod tests {
         assert_eq!(storage.live_ids(), expect);
         let stats = storage.stats();
         assert_eq!(stats.sealed_segments, 1);
-        assert_eq!(stats.indexed_segments, 1);
         assert_eq!(stats.tombstones, 0);
     }
 
     #[test]
     fn tombstone_then_reinsert_moves_to_memtable() {
         let builder = test_builder();
-        let mut storage = SegmentedStorage::new(builder.nbits(), true, 2, false);
+        let mut storage = SegmentedStorage::new(builder.nbits(), 2, false);
         fill(&mut storage, &builder, 0..4);
         assert!(storage.tombstone(ObjectId(1)).unwrap());
         assert!(!storage.contains(ObjectId(1)));
@@ -952,45 +850,35 @@ mod tests {
     #[test]
     fn background_compaction_applies_on_next_write() {
         let builder = test_builder();
-        let mut storage = SegmentedStorage::new(builder.nbits(), true, 2, true);
+        let mut storage = SegmentedStorage::new(builder.nbits(), 2, true);
         fill(&mut storage, &builder, 0..8);
-        // The worker needs a moment; poll through maintain().
+        // Four sealed segments of two; the worker needs a moment to merge
+        // them, so poll through maintain().
         for _ in 0..200 {
             storage.maintain().unwrap();
-            if storage.stats().indexed_segments > 0 {
+            if storage.stats().sealed_segments < 4 {
                 break;
             }
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
-        assert!(
-            storage.stats().indexed_segments > 0,
-            "{:?}",
-            storage.stats()
-        );
+        assert!(storage.stats().sealed_segments < 4, "{:?}", storage.stats());
         assert_eq!(storage.len(), 8);
         let expect: Vec<ObjectId> = (0..8).map(ObjectId).collect();
         assert_eq!(storage.live_ids(), expect);
     }
 
     #[test]
-    fn probe_set_covers_all_live_records() {
+    fn arena_parts_cover_all_live_records() {
         let builder = test_builder();
-        let mut storage = SegmentedStorage::new(builder.nbits(), true, 3, false);
+        let mut storage = SegmentedStorage::new(builder.nbits(), 3, false);
         fill(&mut storage, &builder, 0..8);
         storage.merge().unwrap();
         fill(&mut storage, &builder, 8..10);
         storage.tombstone(ObjectId(0)).unwrap();
-        let probe = storage.probe_set().unwrap();
-        let indexed: usize = probe
-            .parts
-            .iter()
-            .map(|p| {
-                p.index.len()
-                    - p.dead
-                        .map_or(0, |d| d.iter().filter(|id| p.index.contains(**id)).count())
-            })
-            .sum();
-        let unindexed: usize = probe.extras.iter().map(ArenaPart::live_objects).sum();
-        assert_eq!(indexed + unindexed, storage.len());
+        let parts = storage.arena_parts();
+        let live: usize = parts.iter().map(ArenaPart::live_objects).sum();
+        assert_eq!(live, storage.len());
+        let segments: usize = parts.iter().map(ArenaPart::live_segments).sum();
+        assert_eq!(segments, storage.len());
     }
 }

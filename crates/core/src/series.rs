@@ -62,18 +62,15 @@ pub const SERIES: &[SeriesDef] = series![
     "ferret_commands_total", C, "Protocol commands executed, by command.";
     "ferret_compaction_seconds", HL, "Latency of segment compaction merges.";
     "ferret_compactions_total", C, "Segment compaction merges completed.";
-    "ferret_filter_buckets_pruned_total", C, "Hamming-index buckets skipped by the triangle-inequality bound.";
-    "ferret_filter_restrict_pruned_total", C, "Objects excluded from the filter scan by an attribute restriction.";
     "ferret_fusion_queries_total", C, "Hybrid queries executed, by fusion mode.";
     "ferret_http_request_seconds", HL, "HTTP request latency, by endpoint.";
     "ferret_http_requests_total", C, "HTTP requests served, by endpoint and status.";
-    "ferret_index_memory_bytes", G, "Resident size of the in-memory sketch filter index.";
     "ferret_inflight_queries", G, "Queries currently admitted and executing.";
     "ferret_inflight_queries_peak", G, "High-water mark of concurrently executing queries.";
     "ferret_insert_batch_size", HS, "Objects per insert batch.";
     "ferret_inserts_total", C, "Objects inserted.";
     "ferret_lock_wait_seconds", HL, "Time spent waiting for the service lock, by operation class.";
-    "ferret_memory_bytes", G, "Estimated resident bytes, by component (originals, sketches, index, attr, db_tables, cache, importer).";
+    "ferret_memory_bytes", G, "Estimated resident bytes, by component (originals, sketches, attr, db_tables, cache, importer).";
     "ferret_memtable_objects", G, "Objects in the mutable memtable awaiting seal.";
     "ferret_pushdown_queries_total", C, "Filter-stage queries that carried an attribute candidate set.";
     "ferret_pushdown_skipped_total", C, "Objects excluded before heap admission by predicate pushdown.";

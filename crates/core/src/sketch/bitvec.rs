@@ -159,40 +159,6 @@ impl BitVec {
         Ok(Some(acc))
     }
 
-    /// Hamming distance over the first `k` bits only.
-    ///
-    /// The multi-index probe uses this to prescreen bucket survivors: a
-    /// survivor matched the query exactly inside one bit-block, so the
-    /// distance over the bits *before* that block already lower-bounds
-    /// the full distance and can reject without a full popcount.
-    #[inline]
-    pub fn hamming_prefix(&self, other: &Self, k: usize) -> Result<u32> {
-        if self.len != other.len {
-            return Err(CoreError::SketchLengthMismatch {
-                left: self.len,
-                right: other.len,
-            });
-        }
-        if k > self.len {
-            return Err(CoreError::InvalidSketchParams(format!(
-                "prefix length {k} exceeds sketch length {}",
-                self.len
-            )));
-        }
-        let full = k / 64;
-        let mut acc: u32 = self.words[..full]
-            .iter()
-            .zip(other.words[..full].iter())
-            .map(|(a, b)| (a ^ b).count_ones())
-            .sum();
-        let rem = k % 64;
-        if rem != 0 {
-            let mask = (1u64 << rem) - 1;
-            acc += ((self.words[full] ^ other.words[full]) & mask).count_ones();
-        }
-        Ok(acc)
-    }
-
     /// The underlying words (trailing bits beyond `len` are zero).
     pub fn words(&self) -> &[u64] {
         &self.words
@@ -336,46 +302,6 @@ mod tests {
                 assert_eq!(within, None, "limit {limit}");
             }
         }
-    }
-
-    #[test]
-    fn hamming_prefix_counts_only_first_k_bits() {
-        let mut a = BitVec::zeros(200);
-        let b = BitVec::zeros(200);
-        // Differences at known positions.
-        for i in [0, 5, 63, 64, 100, 127, 128, 150, 199] {
-            a.set(i, true);
-        }
-        for k in [0usize, 1, 5, 6, 63, 64, 65, 100, 101, 128, 151, 199, 200] {
-            let expect = [0, 5, 63, 64, 100, 127, 128, 150, 199]
-                .iter()
-                .filter(|&&i| i < k)
-                .count() as u32;
-            assert_eq!(a.hamming_prefix(&b, k).unwrap(), expect, "k {k}");
-        }
-        // Full prefix equals the plain Hamming distance.
-        assert_eq!(a.hamming_prefix(&b, 200).unwrap(), a.hamming(&b).unwrap());
-    }
-
-    #[test]
-    fn hamming_prefix_ignores_bits_at_and_after_k() {
-        // k = 70 is non-word-aligned: bit 69 is in, bit 70 is out.
-        let mut a = BitVec::zeros(128);
-        let b = BitVec::zeros(128);
-        a.set(69, true);
-        a.set(70, true);
-        assert_eq!(a.hamming_prefix(&b, 70).unwrap(), 1);
-        assert_eq!(a.hamming_prefix(&b, 71).unwrap(), 2);
-    }
-
-    #[test]
-    fn hamming_prefix_rejects_bad_arguments() {
-        let a = BitVec::zeros(64);
-        let b = BitVec::zeros(65);
-        assert!(a.hamming_prefix(&b, 10).is_err());
-        let c = BitVec::zeros(64);
-        assert!(a.hamming_prefix(&c, 65).is_err());
-        assert_eq!(a.hamming_prefix(&c, 64).unwrap(), 0);
     }
 
     #[test]

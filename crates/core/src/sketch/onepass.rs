@@ -36,8 +36,8 @@ use crate::error::{CoreError, Result};
 /// Both strategies produce **byte-identical sketches** for the same
 /// parameters and seed (pinned by the golden-sketch fixtures and the
 /// cross-strategy proptests); they differ only in the work done per
-/// vector. This mirrors the [`FilterStrategy`](crate::filter::FilterStrategy)
-/// and [`Parallelism`](crate::parallel::Parallelism) knob pattern.
+/// vector. This mirrors the [`Parallelism`](crate::parallel::Parallelism)
+/// knob pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SketchStrategy {
     /// The paper's Algorithm 2: evaluate each of the `N × K` pairs

@@ -596,9 +596,6 @@ pub struct QueryTrace {
     pub sketch_strategy: Option<String>,
     /// The filtering scan (filter mode only).
     pub filter: Option<StageTrace>,
-    /// Which filtering path ran: `"scan"`, `"indexed"`, or
-    /// `"indexed-fallback"` (filter mode only).
-    pub filter_strategy: Option<String>,
     /// Ranking the candidates.
     pub rank: Option<StageTrace>,
     /// Objects visited during scanning.
@@ -630,13 +627,12 @@ impl QueryTrace {
             None => "null".to_string(),
         };
         format!(
-            "{{\"mode\":\"{}\",\"total_seconds\":{},\"sketch\":{},\"sketch_strategy\":{},\"filter\":{},\"filter_strategy\":{},\"rank\":{},\"objects_scanned\":{},\"segments_scanned\":{},\"candidates\":{},\"distance_evals\":{},\"results\":{}}}",
+            "{{\"mode\":\"{}\",\"total_seconds\":{},\"sketch\":{},\"sketch_strategy\":{},\"filter\":{},\"rank\":{},\"objects_scanned\":{},\"segments_scanned\":{},\"candidates\":{},\"distance_evals\":{},\"results\":{}}}",
             escape_label_value(&self.mode),
             format_f64(self.total.as_secs_f64()),
             stage(&self.sketch),
             opt_str(&self.sketch_strategy),
             stage(&self.filter),
-            opt_str(&self.filter_strategy),
             stage(&self.rank),
             self.objects_scanned,
             self.segments_scanned,
@@ -812,7 +808,6 @@ mod tests {
                 duration: Duration::from_millis(3),
                 threads: 4,
             }),
-            filter_strategy: Some("indexed".into()),
             rank: Some(StageTrace {
                 duration: Duration::from_millis(2),
                 threads: 2,

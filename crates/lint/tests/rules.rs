@@ -281,10 +281,6 @@ fn parity_files(fusion_display: &str) -> Vec<(&'static str, String)> {
     }
     vec![
         (
-            "crates/core/src/filter.rs",
-            enum_src("FilterStrategy", "scan", "scan"),
-        ),
-        (
             "crates/core/src/sketch/onepass.rs",
             enum_src("SketchStrategy", "twopass", "twopass"),
         ),
@@ -302,12 +298,12 @@ fn parity_files(fusion_display: &str) -> Vec<(&'static str, String)> {
         ),
         (
             "src/bin/ferret.rs",
-            "const USAGE: &str = \"strategies: scan twopass serial rrf segmented\";\nfn main() {}\n"
+            "const USAGE: &str = \"strategies: twopass serial rrf segmented\";\nfn main() {}\n"
                 .to_string(),
         ),
         (
             "crates/query/src/protocol.rs",
-            "pub const HELP: &str = \"scan twopass serial rrf segmented\";\n".to_string(),
+            "pub const HELP: &str = \"twopass serial rrf segmented\";\n".to_string(),
         ),
     ]
 }
@@ -317,7 +313,7 @@ fn parity_repo(fusion_display: &str) -> Repo {
     let refs: Vec<(&str, &str)> = files.iter().map(|(p, t)| (*p, t.as_str())).collect();
     Repo::from_memory(
         &refs,
-        &[("README.md", "modes: scan twopass serial rrf segmented")],
+        &[("README.md", "modes: twopass serial rrf segmented")],
     )
 }
 
@@ -342,7 +338,7 @@ fn enum_parity_fires_when_enum_file_missing() {
     let repo = Repo::from_memory(&[("crates/foo/src/lib.rs", "pub fn f() {}\n")], &[]);
     let v = fires(&repo, "strategy-enum-parity");
     // One finding per contracted enum whose defining file is absent.
-    assert_eq!(v.len(), 5, "{v:?}");
+    assert_eq!(v.len(), 4, "{v:?}");
 }
 
 // ------------------------------------------------------- report partition --

@@ -102,9 +102,7 @@ pub enum Response {
         sketch_bytes: usize,
         /// Feature-vector metadata bytes.
         feature_bytes: usize,
-        /// Approximate filter-index bytes (0 with the scan strategy).
-        index_bytes: usize,
-        /// Immutable sealed index segments (0 for the monolithic layout).
+        /// Immutable sealed segments (0 for the monolithic layout).
         index_segments: usize,
         /// Objects in the mutable memtable (0 for the monolithic layout).
         memtable_objects: usize,
@@ -151,12 +149,11 @@ pub fn render_response(resp: &Response) -> String {
             segments,
             sketch_bytes,
             feature_bytes,
-            index_bytes,
             index_segments,
             memtable_objects,
         } => {
             format!(
-                "OK 7\nobjects {objects}\nsegments {segments}\nsketch_bytes {sketch_bytes}\nfeature_bytes {feature_bytes}\nindex_bytes {index_bytes}\nindex_segments {index_segments}\nmemtable_objects {memtable_objects}\n"
+                "OK 6\nobjects {objects}\nsegments {segments}\nsketch_bytes {sketch_bytes}\nfeature_bytes {feature_bytes}\nindex_segments {index_segments}\nmemtable_objects {memtable_objects}\n"
             )
         }
         Response::Help => format!("OK help\n{HELP_TEXT}\n"),
@@ -225,11 +222,10 @@ pub fn response_to_json(resp: &Response) -> String {
             segments,
             sketch_bytes,
             feature_bytes,
-            index_bytes,
             index_segments,
             memtable_objects,
         } => format!(
-            "{{\"ok\":true,\"objects\":{objects},\"segments\":{segments},\"sketch_bytes\":{sketch_bytes},\"feature_bytes\":{feature_bytes},\"index_bytes\":{index_bytes},\"index_segments\":{index_segments},\"memtable_objects\":{memtable_objects}}}"
+            "{{\"ok\":true,\"objects\":{objects},\"segments\":{segments},\"sketch_bytes\":{sketch_bytes},\"feature_bytes\":{feature_bytes},\"index_segments\":{index_segments},\"memtable_objects\":{memtable_objects}}}"
         ),
         Response::Help => format!("{{\"ok\":true,\"help\":\"{}\"}}", json_escape(HELP_TEXT)),
         Response::Bye | Response::Ok => "{\"ok\":true}".to_string(),
@@ -752,6 +748,28 @@ mod tests {
         assert_eq!(
             render_reply(&Command::Stat, &Response::Ok),
             render_response(&Response::Ok)
+        );
+    }
+
+    #[test]
+    fn stat_reply_has_six_fields_in_both_renderings() {
+        let resp = Response::Stat {
+            objects: 5,
+            segments: 12,
+            sketch_bytes: 192,
+            feature_bytes: 384,
+            index_segments: 2,
+            memtable_objects: 1,
+        };
+        assert_eq!(
+            render_response(&resp),
+            "OK 6\nobjects 5\nsegments 12\nsketch_bytes 192\nfeature_bytes 384\n\
+             index_segments 2\nmemtable_objects 1\n"
+        );
+        assert_eq!(
+            response_to_json(&resp),
+            "{\"ok\":true,\"objects\":5,\"segments\":12,\"sketch_bytes\":192,\
+             \"feature_bytes\":384,\"index_segments\":2,\"memtable_objects\":1}"
         );
     }
 

@@ -466,7 +466,6 @@ impl FerretService {
         for (component, bytes) in [
             ("originals", engine.originals),
             ("sketches", engine.sketches),
-            ("index", engine.index),
             ("attr", self.attrs.index().memory_bytes()),
             (
                 "db_tables",
@@ -968,7 +967,6 @@ impl FerretService {
                     segments: fp.segments,
                     sketch_bytes: fp.sketch_bytes,
                     feature_bytes: fp.feature_vector_bytes,
-                    index_bytes: self.engine.filter_index_bytes(),
                     index_segments: st.sealed_segments,
                     memtable_objects: st.memtable_objects,
                 })

@@ -17,9 +17,9 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> integration: server, determinism, telemetry, concurrent serving, sketch index"
+echo "==> integration: server, determinism, telemetry, concurrent serving"
 cargo test -q --test server_and_acquisition --test parallel_determinism --test telemetry \
-    --test concurrent_serving --test filter_index
+    --test concurrent_serving
 
 echo "==> sketch strategies: estimator quality, golden fixtures, cross-strategy determinism"
 # Fixed seed so the randomized cross-strategy corpora are reproducible.
@@ -80,7 +80,7 @@ mkdir "$SMOKE_DIR/watch"
 printf '1 0.1 0.2\n1 0.3 0.4\n' > "$SMOKE_DIR/watch/a.fvec"
 printf '1 0.8 0.9\n' > "$SMOKE_DIR/watch/b.fvec"
 target/release/ferret serve --db "$SMOKE_DIR/db" --watch "$SMOKE_DIR/watch" --dim 2 \
-    --max-inflight 8 --filter-strategy indexed --sketch-strategy one-pass \
+    --max-inflight 8 --sketch-strategy one-pass \
     --tcp 127.0.0.1:0 --http 127.0.0.1:0 > "$SMOKE_DIR/serve.log" 2>&1 &
 SERVE_PID=$!
 HTTP_ADDR=""
@@ -91,9 +91,9 @@ for _ in $(seq 1 50); do
     sleep 0.2
 done
 [ -n "$HTTP_ADDR" ] || { echo "serve never printed its http address"; cat "$SMOKE_DIR/serve.log"; exit 1; }
-# Cold start sketches and indexes the corpus once: here the one build is
-# the retune after the initial scan filled the empty store (on a restart
-# it would be the open, and the retune a comparison).
+# Cold start sketches the corpus once: here the one build is the retune
+# after the initial scan filled the empty store (on a restart it would be
+# the open, and the retune a comparison).
 grep -q '^recovery: .*; engine builds: 1$' "$SMOKE_DIR/serve.log" \
     || { echo "start-up line missing or not a single engine build:"; cat "$SMOKE_DIR/serve.log"; exit 1; }
 # Fetch without curl: bash's /dev/tcp. Raw socket reads can come back
@@ -137,9 +137,8 @@ done
 # At least one of the parallel searches must have actually returned results.
 grep -l '"results":\[{"id":' "$SMOKE_DIR"/search.* > /dev/null \
     || { echo "no parallel /search returned results:"; head -n 20 "$SMOKE_DIR/search.1"; exit 1; }
-# A filter-mode search must go through the sketch index (the server was
-# started with --filter-strategy indexed) and show up in the strategy-
-# labelled stage metrics below.
+# A filter-mode search runs the arena scan and shows up in the filter
+# stage metrics below.
 http_get "/search?id=0&k=2&mode=filter" | grep -q '"results":' \
     || { echo "filter-mode /search failed"; exit 1; }
 # Hybrid query, twice: ingestion tagged both files with ext=fvec, so the
@@ -172,15 +171,9 @@ for series in 'ferret_recovery_seconds{stage="sketch_index"}' 'ferret_recovery_s
     echo "$METRICS" | grep -qF "$series" \
         || { echo "/metrics missing $series:"; echo "$METRICS" | grep -E '^ferret_(recovery|memory)' ; exit 1; }
 done
-# The sketch index instrumented the filter-mode search: the probe counter
-# exists and the filter stage timer carries the indexed strategy label.
-echo "$METRICS" | grep -q "^ferret_filter_buckets_pruned_total" \
-    || { echo "/metrics missing ferret_filter_buckets_pruned_total:"; echo "$METRICS" | grep '^ferret_' | head -n 20; exit 1; }
-echo "$METRICS" | grep "^ferret_query_stage_seconds" | grep -q 'strategy="indexed' \
-    || { echo "/metrics filter stage missing indexed strategy label:"; echo "$METRICS" | grep '^ferret_query_stage' | head -n 20; exit 1; }
-# The indexed server built the index; its gauge is non-zero.
-echo "$METRICS" | grep -qE "^ferret_index_memory_bytes [1-9][0-9]*" \
-    || { echo "/metrics ferret_index_memory_bytes missing or 0 under --filter-strategy indexed:"; echo "$METRICS" | grep '^ferret_index'; exit 1; }
+# The filter-mode search above timed its filter stage.
+echo "$METRICS" | grep "^ferret_query_stage_seconds" | grep -q 'stage="filter"' \
+    || { echo "/metrics missing the filter stage timer:"; echo "$METRICS" | grep '^ferret_query_stage' | head -n 20; exit 1; }
 # The server ran with --sketch-strategy one-pass: the eagerly registered
 # ingest series exist and the sketch stage timer of the filter-mode
 # search above carries the one-pass strategy label.
@@ -208,10 +201,9 @@ echo "$METRICS" | grep "^ferret_fusion_queries_total" | grep -q 'mode="rrf"' \
     || { echo "/metrics missing rrf-labelled ferret_fusion_queries_total:"; echo "$METRICS" | grep '^ferret_fusion'; exit 1; }
 echo "smoke OK: /metrics served $(echo "$METRICS" | grep -c '^ferret_') ferret series"
 
-echo "==> smoke: default serve — arena scan, no index built"
-# The shipped default strategy (auto) scans the sketch arenas and builds
-# no multi-index: the filter stage is labelled scan and the index gauge
-# reads 0.
+echo "==> smoke: default serve — arena scan, six-field /stat"
+# Every flag at its default: filter-mode searches run the arena scan, and
+# /stat reports no index_bytes (there is no filter index to size).
 target/release/ferret serve --db "$SMOKE_DIR/db0" --watch "$SMOKE_DIR/watch" --dim 2 \
     --tcp 127.0.0.1:0 --http 127.0.0.1:0 > "$SMOKE_DIR/serve0.log" 2>&1 &
 SERVE_PID=$!
@@ -225,13 +217,17 @@ done
 [ -n "$HTTP_ADDR" ] || { echo "default serve never printed its http address"; cat "$SMOKE_DIR/serve0.log"; exit 1; }
 http_get "/search?id=0&k=2&mode=filter" | grep -q '"results":\[{"id":' \
     || { echo "default filter-mode /search failed"; exit 1; }
+STAT="$(http_get /stat)"
 METRICS="$(http_get /metrics)"
 kill "$SERVE_PID" 2>/dev/null || true
-echo "$METRICS" | grep -qx "ferret_index_memory_bytes 0" \
-    || { echo "default serve built an index:"; echo "$METRICS" | grep '^ferret_index'; exit 1; }
-echo "$METRICS" | grep "^ferret_query_stage_seconds" | grep 'stage="filter"' | grep -q 'strategy="scan"' \
-    || { echo "default filter stage not labelled scan:"; echo "$METRICS" | grep '^ferret_query_stage'; exit 1; }
-echo "default smoke OK: arena scan, ferret_index_memory_bytes 0"
+echo "$STAT" | grep -q '"index_segments":' \
+    || { echo "/stat reply malformed:"; echo "$STAT" | tail -n 1; exit 1; }
+if echo "$STAT" | grep -q 'index_bytes'; then
+    echo "/stat still reports index_bytes:"; echo "$STAT" | tail -n 1; exit 1
+fi
+echo "$METRICS" | grep "^ferret_query_stage_seconds" | grep -q 'stage="filter"' \
+    || { echo "default serve missing the filter stage timer:"; echo "$METRICS" | grep '^ferret_query_stage'; exit 1; }
+echo "default smoke OK: arena scan, /stat without index_bytes"
 
 echo "==> smoke: segmented serve — ingest during queries, background compaction, no BUSY"
 # Tiny memtable so a handful of inserts spans many sealed segments, which
@@ -240,7 +236,7 @@ mkdir "$SMOKE_DIR/watch2"
 printf '1 0.1 0.2\n' > "$SMOKE_DIR/watch2/seed0.fvec"
 printf '1 0.8 0.9\n' > "$SMOKE_DIR/watch2/seed1.fvec"
 target/release/ferret serve --db "$SMOKE_DIR/db2" --watch "$SMOKE_DIR/watch2" --dim 2 \
-    --max-inflight 8 --filter-strategy indexed --scan-interval 1 \
+    --max-inflight 8 --scan-interval 1 \
     --index-layout segmented --memtable-size 2 --compaction on \
     --tcp 127.0.0.1:0 --http 127.0.0.1:0 > "$SMOKE_DIR/serve2.log" 2>&1 &
 SERVE_PID=$!

@@ -15,7 +15,6 @@ use proptest::prelude::*;
 
 use ferret::core::codec::encode_object;
 use ferret::core::engine::EngineConfig;
-use ferret::core::filter::FilterStrategy;
 use ferret::core::object::{DataObject, ObjectId};
 use ferret::core::parallel::Parallelism;
 use ferret::core::segment::IndexLayout;
@@ -44,7 +43,7 @@ fn db_opts() -> DbOptions {
 }
 
 /// What `ferret serve` opens with: ranges far wider than any data.
-fn wide(layout: IndexLayout, filter: FilterStrategy) -> ServiceBuilder {
+fn wide(layout: IndexLayout) -> ServiceBuilder {
     let params = SketchParams::with_options(
         NBITS,
         XOR_FOLDS,
@@ -55,24 +54,20 @@ fn wide(layout: IndexLayout, filter: FilterStrategy) -> ServiceBuilder {
     .unwrap();
     let mut config = EngineConfig::basic(params, SEED);
     config.index_layout = layout;
-    config.filter_strategy = filter;
     config.parallelism = Parallelism::Serial;
     config.memtable_size = 4;
     config.compaction = false;
     FerretService::builder(config).db_options(db_opts())
 }
 
-fn open_then_retune(dir: &Path, layout: IndexLayout, filter: FilterStrategy) -> FerretService {
-    let mut svc = wide(layout, filter).open(dir).unwrap();
+fn open_then_retune(dir: &Path, layout: IndexLayout) -> FerretService {
+    let mut svc = wide(layout).open(dir).unwrap();
     svc.retune_sketches(NBITS, XOR_FOLDS, SEED).unwrap();
     svc
 }
 
-fn open_tuned(dir: &Path, layout: IndexLayout, filter: FilterStrategy) -> FerretService {
-    wide(layout, filter)
-        .derive_sketch_ranges()
-        .open(dir)
-        .unwrap()
+fn open_tuned(dir: &Path, layout: IndexLayout) -> FerretService {
+    wide(layout).derive_sketch_ranges().open(dir).unwrap()
 }
 
 /// Everything the contract compares: insertion order first, then — by
@@ -134,25 +129,23 @@ proptest! {
     fn single_pass_open_equals_wide_open_plus_retune(
         corpus in corpus_strategy(),
         layout_idx in 0usize..2,
-        filter_idx in 0usize..3,
     ) {
         let layout = [IndexLayout::Monolithic, IndexLayout::Segmented][layout_idx];
-        let filter = [FilterStrategy::Scan, FilterStrategy::Indexed, FilterStrategy::Auto][filter_idx];
-        let dir = tmpdir(&format!("equiv-{layout_idx}-{filter_idx}"));
+        let dir = tmpdir(&format!("equiv-{layout_idx}"));
         {
-            let mut svc = wide(layout, filter).open(&dir).unwrap();
+            let mut svc = wide(layout).open(&dir).unwrap();
             let items = corpus.iter().map(|(id, o)| (*id, o.clone(), None)).collect();
             svc.insert_batch(items).unwrap();
         }
         let two_pass = {
-            let mut svc = open_then_retune(&dir, layout, filter);
+            let mut svc = open_then_retune(&dir, layout);
             prop_assert_eq!(svc.recovery().engine_builds, 2);
             observe(&mut svc)
         };
-        let mut tuned = open_tuned(&dir, layout, filter);
+        let mut tuned = open_tuned(&dir, layout);
         prop_assert_eq!(tuned.recovery().engine_builds, 1);
         prop_assert!(tuned.recovery().derive_error.is_none());
-        prop_assert_eq!(&observe(&mut tuned), &two_pass, "{:?} {:?}", layout, filter);
+        prop_assert_eq!(&observe(&mut tuned), &two_pass, "{:?}", layout);
         // The retune `ferret serve` still issues finds nothing to do.
         tuned.retune_sketches(NBITS, XOR_FOLDS, SEED).unwrap();
         prop_assert_eq!(tuned.recovery().engine_builds, 1);
@@ -176,13 +169,13 @@ fn retune_of_a_tuned_service_builds_nothing_until_a_range_widens() {
     for layout in [IndexLayout::Monolithic, IndexLayout::Segmented] {
         let dir = tmpdir(&format!("idempotent-{layout}"));
         {
-            let mut svc = wide(layout, FilterStrategy::Auto).open(&dir).unwrap();
+            let mut svc = wide(layout).open(&dir).unwrap();
             let items = (0..10u64)
                 .map(|i| (ObjectId(300 + i), point(i as f32 / 10.0), None))
                 .collect();
             svc.insert_batch(items).unwrap();
         }
-        let mut svc = open_tuned(&dir, layout, FilterStrategy::Auto);
+        let mut svc = open_tuned(&dir, layout);
         let registry = Arc::new(MetricsRegistry::new());
         svc.enable_telemetry(Arc::clone(&registry));
         let (epoch, sketched) = (svc.cache_epoch(), sketched_total(&registry));
@@ -213,7 +206,7 @@ fn retune_of_a_tuned_service_builds_nothing_until_a_range_widens() {
         );
         let rebuilt = observe(&mut svc);
         drop(svc);
-        let mut fresh = open_then_retune(&dir, layout, FilterStrategy::Auto);
+        let mut fresh = open_then_retune(&dir, layout);
         // Recovery order is key order, not the order this process inserted
         // in; everything after it must agree.
         assert_eq!(rebuilt[1..], observe(&mut fresh)[1..], "{layout}");
@@ -239,7 +232,7 @@ fn underivable_ranges_fall_back_to_the_configured_ones() {
     let dir = tmpdir("underivable");
     let flat = object(&[(vec![1.0e9; DIM], 1.0)]);
     write_features(&dir, &[(1, flat.clone()), (2, flat)]);
-    let mut tuned = open_tuned(&dir, IndexLayout::Monolithic, FilterStrategy::Auto);
+    let mut tuned = open_tuned(&dir, IndexLayout::Monolithic);
     let why = tuned
         .recovery()
         .derive_error
@@ -250,9 +243,7 @@ fn underivable_ranges_fall_back_to_the_configured_ones() {
     let seen = observe(&mut tuned);
     drop(tuned);
     // Exactly what a plain open serves, whose retune fails the same way.
-    let mut plain = wide(IndexLayout::Monolithic, FilterStrategy::Auto)
-        .open(&dir)
-        .unwrap();
+    let mut plain = wide(IndexLayout::Monolithic).open(&dir).unwrap();
     assert!(plain.retune_sketches(NBITS, XOR_FOLDS, SEED).is_err());
     assert_eq!(observe(&mut plain), seen);
     std::fs::remove_dir_all(&dir).ok();
@@ -264,7 +255,7 @@ fn mixed_dimension_table_is_reported_by_the_insert_not_the_derive() {
     let other = DataObject::single(FeatureVector::new(vec![0.1, 0.2]).unwrap());
     write_features(&dir, &[(1, point(0.3)), (2, other)]);
     let open = |tuned: bool| {
-        let builder = wide(IndexLayout::Monolithic, FilterStrategy::Auto);
+        let builder = wide(IndexLayout::Monolithic);
         let builder = if tuned {
             builder.derive_sketch_ranges()
         } else {
@@ -283,7 +274,7 @@ fn mixed_dimension_table_is_reported_by_the_insert_not_the_derive() {
     let dir2 = tmpdir("other-dim");
     let pair = |x: f32| DataObject::single(FeatureVector::new(vec![x, -x]).unwrap());
     write_features(&dir2, &[(1, pair(0.1)), (2, pair(0.9))]);
-    let err = wide(IndexLayout::Monolithic, FilterStrategy::Auto)
+    let err = wide(IndexLayout::Monolithic)
         .derive_sketch_ranges()
         .open(&dir2)
         .err()

@@ -10,15 +10,13 @@
 //! filtering with an unbounded candidate budget). For the pruned
 //! filtering path the oracle is stronger: the restricted query must
 //! equal the same query against a *fresh engine built from only the
-//! matching objects*, across every filter strategy, sketch strategy,
-//! and thread count.
+//! matching objects*, across every sketch strategy and thread count.
 
 use std::collections::HashSet;
 
 use proptest::prelude::*;
 
 use ferret::core::engine::{EngineBuilder, EngineConfig, QueryMode, QueryOptions, SearchEngine};
-use ferret::core::filter::FilterStrategy;
 use ferret::core::object::{DataObject, ObjectId};
 use ferret::core::parallel::Parallelism;
 use ferret::core::sketch::{SketchParams, SketchStrategy};
@@ -46,14 +44,12 @@ fn object_strategy() -> impl Strategy<Value = DataObject> {
 fn build_engine(
     sketch: SketchStrategy,
     parallelism: Parallelism,
-    filter: FilterStrategy,
     items: &[(ObjectId, DataObject)],
 ) -> SearchEngine {
     let params = SketchParams::with_options(96, 2, vec![0.0; DIM], vec![1.0; DIM], None).unwrap();
     let mut config = EngineConfig::basic(params, SEED);
     config.sketch_strategy = sketch;
     config.parallelism = parallelism;
-    config.filter_strategy = filter;
     let mut engine = EngineBuilder::from_config(config).build().unwrap();
     engine.insert_batch(items.to_vec()).unwrap();
     engine
@@ -73,19 +69,17 @@ proptest! {
         objects in prop::collection::vec(object_strategy(), 4..12),
         mask in prop::collection::vec(any::<bool>(), 12),
         par_idx in 0usize..2,
-        filter_idx in 0usize..3,
         sketch_idx in 0usize..2,
         k in 1usize..6,
     ) {
         let parallelism = [Parallelism::Serial, Parallelism::Threads(3)][par_idx];
-        let filter = [FilterStrategy::Scan, FilterStrategy::Indexed, FilterStrategy::Auto][filter_idx];
         let sketch = [SketchStrategy::Classic, SketchStrategy::OnePass][sketch_idx];
         let items: Vec<(ObjectId, DataObject)> = objects
             .iter()
             .enumerate()
             .map(|(i, o)| (ObjectId(i as u64), o.clone()))
             .collect();
-        let engine = build_engine(sketch, parallelism, filter, &items);
+        let engine = build_engine(sketch, parallelism, &items);
         let allowed: HashSet<ObjectId> = items
             .iter()
             .enumerate()
@@ -124,8 +118,8 @@ proptest! {
 
             prop_assert_eq!(
                 hybrid, oracle,
-                "mode {:?} filter {:?} sketch {:?} par {:?} diverged from post-filter",
-                mode, filter, sketch, parallelism
+                "mode {:?} sketch {:?} par {:?} diverged from post-filter",
+                mode, sketch, parallelism
             );
         }
     }
@@ -139,12 +133,10 @@ proptest! {
         objects in prop::collection::vec(object_strategy(), 4..12),
         mask in prop::collection::vec(any::<bool>(), 12),
         par_idx in 0usize..2,
-        filter_idx in 0usize..3,
         sketch_idx in 0usize..2,
         k in 1usize..6,
     ) {
         let parallelism = [Parallelism::Serial, Parallelism::Threads(3)][par_idx];
-        let filter = [FilterStrategy::Scan, FilterStrategy::Indexed, FilterStrategy::Auto][filter_idx];
         let sketch = [SketchStrategy::Classic, SketchStrategy::OnePass][sketch_idx];
         let items: Vec<(ObjectId, DataObject)> = objects
             .iter()
@@ -159,8 +151,8 @@ proptest! {
             .collect();
         let allowed: HashSet<ObjectId> = subset.iter().map(|(id, _)| *id).collect();
 
-        let full_engine = build_engine(sketch, parallelism, filter, &items);
-        let subset_engine = build_engine(sketch, parallelism, filter, &subset);
+        let full_engine = build_engine(sketch, parallelism, &items);
+        let subset_engine = build_engine(sketch, parallelism, &subset);
 
         let seed = &objects[0];
         let restricted = QueryOptions::default()
@@ -171,14 +163,14 @@ proptest! {
         let oracle = results_of(&subset_engine.query(seed, &plain).unwrap());
         prop_assert_eq!(
             hybrid, oracle,
-            "filter {:?} sketch {:?} par {:?}: restricted full engine != subset engine",
-            filter, sketch, parallelism
+            "sketch {:?} par {:?}: restricted full engine != subset engine",
+            sketch, parallelism
         );
     }
 }
 
 /// Empty candidate set: the query legitimately returns zero results on
-/// every mode and strategy — never an error, never a leak of excluded
+/// every mode — never an error, never a leak of excluded
 /// objects.
 #[test]
 fn empty_candidate_set_returns_no_results() {
@@ -191,27 +183,18 @@ fn empty_candidate_set_returns_no_results() {
             )
         })
         .collect();
-    for filter in [
-        FilterStrategy::Scan,
-        FilterStrategy::Indexed,
-        FilterStrategy::Auto,
+    let engine = build_engine(SketchStrategy::Classic, Parallelism::Serial, &items);
+    for mode in [
+        QueryMode::BruteForceOriginal,
+        QueryMode::BruteForceSketch,
+        QueryMode::Filtering,
     ] {
-        let engine = build_engine(SketchStrategy::Classic, Parallelism::Serial, filter, &items);
-        for mode in [
-            QueryMode::BruteForceOriginal,
-            QueryMode::BruteForceSketch,
-            QueryMode::Filtering,
-        ] {
-            let options = QueryOptions::default()
-                .with_mode(mode)
-                .with_k(3)
-                .with_restrict(HashSet::new());
-            let resp = engine.query_by_id(ObjectId(0), &options).unwrap();
-            assert!(
-                resp.results.is_empty(),
-                "mode {mode:?} filter {filter:?} leaked results"
-            );
-        }
+        let options = QueryOptions::default()
+            .with_mode(mode)
+            .with_k(3)
+            .with_restrict(HashSet::new());
+        let resp = engine.query_by_id(ObjectId(0), &options).unwrap();
+        assert!(resp.results.is_empty(), "mode {mode:?} leaked results");
     }
 }
 
@@ -229,31 +212,20 @@ fn all_match_candidate_set_equals_unrestricted() {
         })
         .collect();
     let everyone: HashSet<ObjectId> = items.iter().map(|(id, _)| *id).collect();
-    for filter in [
-        FilterStrategy::Scan,
-        FilterStrategy::Indexed,
-        FilterStrategy::Auto,
+    let engine = build_engine(SketchStrategy::Classic, Parallelism::Threads(2), &items);
+    for mode in [
+        QueryMode::BruteForceOriginal,
+        QueryMode::BruteForceSketch,
+        QueryMode::Filtering,
     ] {
-        let engine = build_engine(
-            SketchStrategy::Classic,
-            Parallelism::Threads(2),
-            filter,
-            &items,
-        );
-        for mode in [
-            QueryMode::BruteForceOriginal,
-            QueryMode::BruteForceSketch,
-            QueryMode::Filtering,
-        ] {
-            let restricted = QueryOptions::default()
-                .with_mode(mode)
-                .with_k(4)
-                .with_restrict(everyone.clone());
-            let plain = QueryOptions::default().with_mode(mode).with_k(4);
-            let a = results_of(&engine.query_by_id(ObjectId(0), &restricted).unwrap());
-            let b = results_of(&engine.query_by_id(ObjectId(0), &plain).unwrap());
-            assert_eq!(a, b, "mode {mode:?} filter {filter:?} diverged");
-        }
+        let restricted = QueryOptions::default()
+            .with_mode(mode)
+            .with_k(4)
+            .with_restrict(everyone.clone());
+        let plain = QueryOptions::default().with_mode(mode).with_k(4);
+        let a = results_of(&engine.query_by_id(ObjectId(0), &restricted).unwrap());
+        let b = results_of(&engine.query_by_id(ObjectId(0), &plain).unwrap());
+        assert_eq!(a, b, "mode {mode:?} diverged");
     }
 }
 

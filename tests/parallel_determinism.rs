@@ -8,10 +8,7 @@ use ferret::core::engine::{QueryMode, QueryOptions, SearchEngine};
 use ferret::core::filter::{filter_candidates, filter_candidates_sharded, FilterParams};
 use ferret::core::object::{DataObject, ObjectId};
 use ferret::core::parallel::Parallelism;
-use ferret::core::sketch::{
-    filter_candidates_on_disk, filter_candidates_on_disk_sharded, SketchBuilder, SketchFileWriter,
-    SketchParams, SketchedObject,
-};
+use ferret::core::sketch::{SketchParams, SketchedObject};
 use ferret::core::vector::FeatureVector;
 
 fn vec_strategy(dim: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -158,76 +155,6 @@ proptest! {
         for threads in [2usize, 7] {
             let (set, stats) =
                 filter_candidates_sharded(&query, &dataset, &params, threads).unwrap();
-            prop_assert_eq!(&set, &serial_set, "threads {}", threads);
-            prop_assert_eq!(stats, serial_stats, "threads {}", threads);
-        }
-    }
-}
-
-/// Deterministic pseudo-random components without a generator dependency.
-fn mix(seed: u64, i: u64, d: u64) -> f32 {
-    let mut z = seed
-        .wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(d.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    z ^= z >> 30;
-    z = z.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z ^= z >> 27;
-    (z % 10_000) as f32 / 10_000.0
-}
-
-proptest! {
-    // Disk datasets must exceed one 256-record chunk to shard, so cases
-    // are few but large.
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// The sharded on-disk filter scan yields the exact candidate set and
-    /// statistics of the serial scan.
-    #[test]
-    fn disk_scan_identical_across_thread_counts(
-        seed in 0u64..1000,
-        n in 300usize..520,
-    ) {
-        let params = SketchParams::new(64, vec![0.0; 3], vec![1.0; 3]).unwrap();
-        let builder = SketchBuilder::new(params, seed);
-        let sketch_of = |i: u64| {
-            let obj = DataObject::single(
-                FeatureVector::new(vec![mix(seed, i, 0), mix(seed, i, 1), mix(seed, i, 2)])
-                    .unwrap(),
-            );
-            builder.sketch_object(&obj).unwrap()
-        };
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!(
-            "ferret-par-disk-{}-{seed}-{n}.sketch",
-            std::process::id()
-        ));
-        let mut writer = SketchFileWriter::create(&path, 64).unwrap();
-        for i in 0..n as u64 {
-            writer.append(ObjectId(i), &sketch_of(i)).unwrap();
-        }
-        writer.finish().unwrap();
-
-        let query = sketch_of(0);
-        let fparams = FilterParams {
-            query_segments: 1,
-            candidates_per_segment: 8,
-            ..FilterParams::default()
-        };
-        let outcome = (|| {
-            let (serial_set, serial_stats) =
-                filter_candidates_on_disk(&path, &query, &fparams)?;
-            let mut sharded = Vec::new();
-            for threads in [2usize, 7] {
-                sharded.push((
-                    threads,
-                    filter_candidates_on_disk_sharded(&path, &query, &fparams, threads)?,
-                ));
-            }
-            Ok::<_, ferret::core::error::CoreError>((serial_set, serial_stats, sharded))
-        })();
-        std::fs::remove_file(&path).ok();
-        let (serial_set, serial_stats, sharded) = outcome.unwrap();
-        for (threads, (set, stats)) in sharded {
             prop_assert_eq!(&set, &serial_set, "threads {}", threads);
             prop_assert_eq!(stats, serial_stats, "threads {}", threads);
         }

@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 
 use ferret::core::engine::{EngineConfig, QueryMode, QueryOptions, SearchEngine};
-use ferret::core::filter::{FilterParams, FilterStrategy};
+use ferret::core::filter::FilterParams;
 use ferret::core::object::{DataObject, ObjectId};
 use ferret::core::parallel::Parallelism;
 use ferret::core::segment::IndexLayout;
@@ -36,21 +36,15 @@ fn mixed_object(seed: u64, i: u64) -> DataObject {
     )
 }
 
-fn build_pair(
-    seed: u64,
-    strategy: FilterStrategy,
-    memtable: usize,
-) -> (SearchEngine, SearchEngine) {
+fn build_pair(seed: u64, memtable: usize) -> (SearchEngine, SearchEngine) {
     let params = SketchParams::new(64, vec![0.0; 3], vec![1.0; 3]).unwrap();
     let mono = SearchEngine::builder(params.clone(), seed)
-        .filter_strategy(strategy)
         .parallelism(Parallelism::Serial)
         .build()
         .unwrap();
     // Compaction runs inline (`compaction(false)` + explicit `compact()`)
     // so the op interleaving below is fully deterministic.
     let seg = SearchEngine::builder(params, seed)
-        .filter_strategy(strategy)
         .parallelism(Parallelism::Serial)
         .index_layout(IndexLayout::Segmented)
         .memtable_size(memtable)
@@ -140,16 +134,14 @@ proptest! {
     /// Random interleavings of inserts, removals, seals, inline merges,
     /// and maintenance ticks: the segmented engine answers exactly like
     /// the monolithic one after every structural op, for tiny memtables
-    /// (so even short runs span many segments) and both filter paths.
+    /// (so even short runs span many segments).
     #[test]
     fn segmented_matches_monolithic_under_interleaving(
         ops in prop::collection::vec(op_strategy(), 1..60),
         memtable in 1usize..5,
-        indexed in any::<bool>(),
         seed in 0u64..64,
     ) {
-        let strategy = if indexed { FilterStrategy::Indexed } else { FilterStrategy::Scan };
-        let (mut mono, mut seg) = build_pair(seed, strategy, memtable);
+        let (mut mono, mut seg) = build_pair(seed, memtable);
         for (step, op) in ops.iter().enumerate() {
             apply(&mut mono, op, seed);
             apply(&mut seg, op, seed);
@@ -172,7 +164,7 @@ proptest! {
 /// tombstone draining through compaction.
 #[test]
 fn lifecycle_stats_and_epochs() {
-    let (mut mono, mut seg) = build_pair(7, FilterStrategy::Auto, 4);
+    let (mut mono, mut seg) = build_pair(7, 4);
     let mut last_epoch = seg.storage_epoch();
     for i in 0..32u64 {
         let obj = mixed_object(7, i);
@@ -224,7 +216,7 @@ fn lifecycle_stats_and_epochs() {
 /// must shadow both the tombstone and the original.
 #[test]
 fn reinsert_over_tombstone_uses_newest_payload() {
-    let (mut mono, mut seg) = build_pair(11, FilterStrategy::Scan, 2);
+    let (mut mono, mut seg) = build_pair(11, 2);
     for i in 0..8u64 {
         let obj = mixed_object(11, i);
         mono.insert(ObjectId(i), obj.clone()).unwrap();
@@ -255,8 +247,7 @@ fn service_retune_preserves_layout_and_bumps_cache_epoch() {
     let config = EngineConfig::basic(params, 5)
         .with_index_layout(IndexLayout::Segmented)
         .with_memtable_size(2)
-        .with_compaction(false)
-        .with_filter_strategy(FilterStrategy::Indexed);
+        .with_compaction(false);
     let mut svc = FerretService::in_memory(config).unwrap();
     for i in 0..12u64 {
         svc.insert(ObjectId(i), mixed_object(5, i), None).unwrap();
@@ -279,7 +270,6 @@ fn service_retune_preserves_layout_and_bumps_cache_epoch() {
     );
     assert_eq!(engine.config().memtable_size, 2);
     assert!(!engine.config().compaction);
-    assert_eq!(engine.filter_strategy(), FilterStrategy::Indexed);
     // The replacement engine re-seals with the preserved memtable size,
     // so the segmented structure survives the retune too.
     let st = engine.storage_stats();

@@ -200,16 +200,15 @@ fn metrics_endpoint_end_to_end() {
         "rank stage not instrumented\n{body}"
     );
     // The sketch stage records which construction strategy built the
-    // query sketch (classic unless configured otherwise), and the filter
-    // stage which strategy served it; this corpus is below the auto-index
-    // threshold, so the scan path handled it.
+    // query sketch (classic unless configured otherwise); the filter stage
+    // has one path and no strategy label.
     assert_eq!(
         get("ferret_query_stage_seconds_count{mode=\"filtering\",stage=\"sketch\",strategy=\"classic\"}"),
         3.0,
         "sketch stage not instrumented\n{body}"
     );
     assert_eq!(
-        get("ferret_query_stage_seconds_count{mode=\"filtering\",stage=\"filter\",strategy=\"scan\"}"),
+        get("ferret_query_stage_seconds_count{mode=\"filtering\",stage=\"filter\"}"),
         3.0,
         "filter stage not instrumented\n{body}"
     );

@@ -18,7 +18,6 @@ use proptest::prelude::*;
 use ferret::core::engine::{QueryMode, QueryOptions, SearchEngine};
 use ferret::core::filter::{
     filter_candidates, filter_candidates_arena, ArenaPart, FilterParams, FilterStats,
-    FilterStrategy,
 };
 use ferret::core::object::{DataObject, ObjectId};
 use ferret::core::parallel::Parallelism;
@@ -207,16 +206,14 @@ proptest! {
 
     /// Random insert/remove/seal/compact scripts (re-inserts included:
     /// an id may come back with a new payload after its removal) in both
-    /// layouts and under every filter strategy: the served candidate set
-    /// — every candidate, as `k` exceeds the corpus — equals the reference
-    /// scan over the engine's live objects, and a scan's statistics equal
-    /// the reference's.
+    /// layouts: the served candidate set — every candidate, as `k` exceeds
+    /// the corpus — equals the reference scan over the engine's live
+    /// objects, and the scan's statistics equal the reference's.
     #[test]
     fn engine_serves_reference_candidates_after_any_script(
         ops in prop::collection::vec(op_strategy(), 1..60),
         width in 0usize..WIDTHS.len(),
         segmented in any::<bool>(),
-        strategy_idx in 0usize..3,
         memtable in 1usize..5,
         cand in 1usize..6,
         threshold in prop_oneof![Just(None), (0u32..60).prop_map(Some)],
@@ -225,12 +222,10 @@ proptest! {
         seed in 0u64..64,
     ) {
         let nbits = WIDTHS[width];
-        let strategy = [FilterStrategy::Scan, FilterStrategy::Indexed, FilterStrategy::Auto][strategy_idx];
         let layout = if segmented { IndexLayout::Segmented } else { IndexLayout::Monolithic };
         let params = SketchParams::new(nbits, vec![0.0; 3], vec![1.0; 3]).unwrap();
         let registry = Arc::new(MetricsRegistry::new());
         let mut engine = SearchEngine::builder(params, seed)
-            .filter_strategy(strategy)
             .index_layout(layout)
             .memtable_size(memtable)
             .compaction(false)
@@ -291,7 +286,7 @@ proptest! {
         }
         let resp = engine.query(&query, &opts).unwrap();
         let served: HashSet<ObjectId> = resp.results.iter().map(|r| r.id).collect();
-        prop_assert_eq!(&served, &expect, "{} {}", layout, strategy);
+        prop_assert_eq!(&served, &expect, "{}", layout);
         prop_assert_eq!(resp.stats.distance_evals, reference.candidates);
         // The pushdown counter: live objects outside the restrict set,
         // removed and never-inserted ids in the set not counted.
@@ -303,57 +298,38 @@ proptest! {
             registry.counter_value("ferret_pushdown_queries_total", &[]),
             Some(u64::from(restrict.is_some()))
         );
-        if strategy != FilterStrategy::Indexed {
-            prop_assert_eq!(resp.stats.objects_scanned, live.len());
-            prop_assert_eq!(
-                resp.stats.segments_scanned,
-                live.iter().map(|(_, so)| so.num_segments()).sum::<usize>()
-            );
-            if restrict.is_none() {
-                prop_assert_eq!(resp.stats.segments_scanned, reference.segments_scanned);
-            }
+        prop_assert_eq!(resp.stats.objects_scanned, live.len());
+        prop_assert_eq!(
+            resp.stats.segments_scanned,
+            live.iter().map(|(_, so)| so.num_segments()).sum::<usize>()
+        );
+        if restrict.is_none() {
+            prop_assert_eq!(resp.stats.segments_scanned, reference.segments_scanned);
         }
     }
 }
 
-/// `Auto` builds no index in either layout, even across seals and
-/// compactions; only `Indexed` pays for one.
+/// The sketch arenas are part of the sketch memory account in both
+/// layouts, before and after seals and compactions.
 #[test]
-fn only_the_indexed_strategy_builds_an_index() {
+fn arenas_are_counted_in_the_sketch_memory_account() {
     for layout in [IndexLayout::Monolithic, IndexLayout::Segmented] {
-        for strategy in [
-            FilterStrategy::Scan,
-            FilterStrategy::Auto,
-            FilterStrategy::Indexed,
-        ] {
-            let params = SketchParams::new(128, vec![0.0; 3], vec![1.0; 3]).unwrap();
-            let mut engine = SearchEngine::builder(params, 5)
-                .filter_strategy(strategy)
-                .index_layout(layout)
-                .memtable_size(4)
-                .compaction(false)
-                .build()
+        let params = SketchParams::new(128, vec![0.0; 3], vec![1.0; 3]).unwrap();
+        let mut engine = SearchEngine::builder(params, 5)
+            .index_layout(layout)
+            .memtable_size(4)
+            .compaction(false)
+            .build()
+            .unwrap();
+        for i in 0..30u64 {
+            engine
+                .insert(ObjectId(i), quantised_object(5, i, 2))
                 .unwrap();
-            for i in 0..30u64 {
-                engine
-                    .insert(ObjectId(i), quantised_object(5, i, 2))
-                    .unwrap();
-            }
-            engine.seal().unwrap();
-            engine.compact().unwrap();
-            let indexed = engine.filter_index_bytes() > 0;
-            assert_eq!(
-                indexed,
-                strategy == FilterStrategy::Indexed,
-                "{layout} {strategy}"
-            );
-            assert_eq!(
-                engine.storage_stats().indexed_segments > 0,
-                strategy == FilterStrategy::Indexed && layout == IndexLayout::Segmented,
-                "{layout} {strategy}"
-            );
-            // The arenas are part of the sketch memory account.
-            assert!(engine.memory_estimate().sketches >= 60 * 16, "{layout}");
         }
+        // 60 segment sketches of 16 bytes each, at least once in an arena.
+        assert!(engine.memory_estimate().sketches >= 60 * 16, "{layout}");
+        engine.seal().unwrap();
+        engine.compact().unwrap();
+        assert!(engine.memory_estimate().sketches >= 60 * 16, "{layout}");
     }
 }

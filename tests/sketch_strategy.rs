@@ -1,17 +1,16 @@
 //! Cross-strategy determinism: two engines that differ only in
 //! [`SketchStrategy`] must store bit-identical sketches and answer every
-//! query identically, for any corpus, thread count, and filter strategy.
+//! query identically, for any corpus and thread count.
 //!
 //! This drives the equivalence through the full engine — insertion
-//! (including batch-parallel sketching), the filter stage in all its
-//! execution paths, and both sketch-based query modes — rather than just
+//! (including batch-parallel sketching), the filter stage, and both
+//! sketch-based query modes — rather than just
 //! the builder, so regressions in any layer's interaction with the
 //! strategy knob surface here.
 
 use proptest::prelude::*;
 
 use ferret::core::engine::{EngineBuilder, EngineConfig, QueryOptions, SearchEngine};
-use ferret::core::filter::FilterStrategy;
 use ferret::core::object::{DataObject, ObjectId};
 use ferret::core::parallel::Parallelism;
 use ferret::core::sketch::{SketchParams, SketchStrategy};
@@ -39,14 +38,12 @@ fn object_strategy() -> impl Strategy<Value = DataObject> {
 fn build_engine(
     strategy: SketchStrategy,
     parallelism: Parallelism,
-    filter: FilterStrategy,
     objects: &[DataObject],
 ) -> SearchEngine {
     let params = SketchParams::with_options(96, 2, vec![0.0; DIM], vec![1.0; DIM], None).unwrap();
     let mut config = EngineConfig::basic(params, SEED);
     config.sketch_strategy = strategy;
     config.parallelism = parallelism;
-    config.filter_strategy = filter;
     let mut engine = EngineBuilder::from_config(config).build().unwrap();
     let batch: Vec<_> = objects
         .iter()
@@ -64,13 +61,11 @@ proptest! {
     fn one_pass_engine_is_indistinguishable_from_classic(
         objects in prop::collection::vec(object_strategy(), 4..12),
         par_idx in 0usize..2,
-        filter_idx in 0usize..3,
         k in 1usize..6,
     ) {
         let parallelism = [Parallelism::Serial, Parallelism::Threads(3)][par_idx];
-        let filter = [FilterStrategy::Scan, FilterStrategy::Indexed, FilterStrategy::Auto][filter_idx];
-        let classic = build_engine(SketchStrategy::Classic, parallelism, filter, &objects);
-        let one_pass = build_engine(SketchStrategy::OnePass, parallelism, filter, &objects);
+        let classic = build_engine(SketchStrategy::Classic, parallelism, &objects);
+        let one_pass = build_engine(SketchStrategy::OnePass, parallelism, &objects);
 
         // Stored sketches are bit-identical, object by object.
         for i in 0..objects.len() {
