@@ -19,7 +19,7 @@ use crate::rank::{rank_candidates_parallel, rank_scores, SearchResult};
 use crate::segment::{
     IndexLayout, IndexStorage, MonolithicStorage, SegmentedStorage, StorageStats,
 };
-use crate::sketch::{SketchBuilder, SketchParams, SketchStrategy, SketchedObject};
+use crate::sketch::{SketchBuilder, SketchParams, SketchedObject};
 use crate::telemetry::{MetricsRegistry, QueryTrace, StageClock, StageTrace, SIZE_BUCKETS};
 
 /// How a query traverses the dataset (paper §6.3.3).
@@ -86,9 +86,8 @@ impl std::fmt::Debug for RankingMethod {
 /// Engine construction parameters.
 ///
 /// Marked `#[non_exhaustive]` so new knobs can be added without breaking
-/// downstream crates: construct via [`EngineConfig::basic`] (or
-/// [`EngineBuilder`]), then refine fields directly or with the fluent
-/// `with_*` methods.
+/// downstream crates: construct via [`EngineConfig::basic`], then refine
+/// fields directly, or set them through [`EngineBuilder`].
 #[derive(Clone)]
 #[non_exhaustive]
 pub struct EngineConfig {
@@ -109,12 +108,6 @@ pub struct EngineConfig {
     /// batch sketch construction may use. Results are bit-identical for
     /// every setting; this only trades wall-clock time for cores.
     pub parallelism: Parallelism,
-    /// How the sketch construction unit evaluates its `N × K` random
-    /// pairs: the paper's per-pair loop or the pre-sorted one-pass plan.
-    /// Sketches are byte-identical for every setting (see
-    /// [`SketchStrategy`]); this only trades plan memory for ingest
-    /// throughput.
-    pub sketch_strategy: SketchStrategy,
     /// Which storage layout backs the object maps and sketch index:
     /// one mutable monolith, or LSM-style immutable segments. Results
     /// are bit-identical for every setting (see [`IndexLayout`]).
@@ -143,59 +136,10 @@ impl EngineConfig {
             ranking: RankingMethod::Emd,
             store_originals: true,
             parallelism: Parallelism::Auto,
-            sketch_strategy: SketchStrategy::Classic,
             index_layout: IndexLayout::default(),
             memtable_size: DEFAULT_MEMTABLE_SIZE,
             compaction: true,
         }
-    }
-
-    /// Sets the segment distance function.
-    pub fn with_seg_distance(mut self, seg_distance: Arc<dyn SegmentDistance>) -> Self {
-        self.seg_distance = seg_distance;
-        self
-    }
-
-    /// Sets the ranking method.
-    pub fn with_ranking(mut self, ranking: RankingMethod) -> Self {
-        self.ranking = ranking;
-        self
-    }
-
-    /// Keeps (or drops) original feature vectors in memory.
-    pub fn with_store_originals(mut self, store_originals: bool) -> Self {
-        self.store_originals = store_originals;
-        self
-    }
-
-    /// Sets the parallelism budget.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// Sets the sketch construction strategy.
-    pub fn with_sketch_strategy(mut self, sketch_strategy: SketchStrategy) -> Self {
-        self.sketch_strategy = sketch_strategy;
-        self
-    }
-
-    /// Sets the index storage layout.
-    pub fn with_index_layout(mut self, index_layout: IndexLayout) -> Self {
-        self.index_layout = index_layout;
-        self
-    }
-
-    /// Sets the segmented layout's memtable seal threshold.
-    pub fn with_memtable_size(mut self, memtable_size: usize) -> Self {
-        self.memtable_size = memtable_size;
-        self
-    }
-
-    /// Enables or disables the segmented layout's background compaction.
-    pub fn with_compaction(mut self, compaction: bool) -> Self {
-        self.compaction = compaction;
-        self
     }
 }
 
@@ -561,12 +505,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the sketch construction strategy.
-    pub fn sketch_strategy(mut self, sketch_strategy: SketchStrategy) -> Self {
-        self.config.sketch_strategy = sketch_strategy;
-        self
-    }
-
     /// Sets the index storage layout.
     pub fn index_layout(mut self, index_layout: IndexLayout) -> Self {
         self.config.index_layout = index_layout;
@@ -594,11 +532,7 @@ impl EngineBuilder {
     /// Builds the engine.
     pub fn build(self) -> Result<SearchEngine> {
         let config = self.config;
-        let builder = SketchBuilder::with_strategy(
-            config.sketch.clone(),
-            config.seed,
-            config.sketch_strategy,
-        );
+        let builder = SketchBuilder::new(config.sketch.clone(), config.seed);
         let sketch_scale = 1.0 / builder.hamming_per_l1();
         let storage: Box<dyn IndexStorage> = match config.index_layout {
             IndexLayout::Monolithic => Box::new(MonolithicStorage::new(builder.nbits())),
@@ -673,37 +607,23 @@ impl SearchEngine {
         self.config.parallelism = parallelism;
     }
 
-    /// The engine's sketch construction strategy.
-    pub fn sketch_strategy(&self) -> SketchStrategy {
-        self.builder.strategy()
-    }
-
-    /// The sketch strategy as a metric label value.
-    fn sketch_strategy_label(&self) -> &'static str {
-        match self.builder.strategy() {
-            SketchStrategy::Classic => "classic",
-            SketchStrategy::OnePass => "one-pass",
-        }
-    }
-
     /// Records one ingest batch into the metrics registry: objects
-    /// sketched (by strategy), the sketch-stage build timer, and the
-    /// most recent objects/sec ingest rate.
+    /// sketched, the sketch-stage build timer, and the most recent
+    /// objects/sec ingest rate.
     fn record_ingest_metrics(&self, objects: usize, elapsed: Duration) {
         let Some(registry) = &self.telemetry else {
             return;
         };
-        let strategy = self.sketch_strategy_label();
         registry.inc_counter(
             "ferret_sketch_objects_total",
-            "Objects sketched on the ingest path, by construction strategy.",
-            &[("strategy", strategy)],
+            "Objects sketched on the ingest path.",
+            &[],
             objects as u64,
         );
         registry.observe_latency(
             "ferret_sketch_build_seconds",
-            "Wall time of the ingest sketch-construction stage, by strategy.",
-            &[("strategy", strategy)],
+            "Wall time of the ingest sketch-construction stage.",
+            &[],
             elapsed,
         );
         let secs = elapsed.as_secs_f64();
@@ -712,7 +632,7 @@ impl SearchEngine {
                 .gauge(
                     "ferret_sketch_objects_per_sec",
                     "Ingest sketch-construction throughput of the most recent batch.",
-                    &[("strategy", strategy)],
+                    &[],
                 )
                 .set((objects as f64 / secs) as i64);
         }
@@ -769,16 +689,15 @@ impl SearchEngine {
         // them (at zero) even before the first post-enable insert — the
         // initial import typically happens before telemetry is wired up.
         if let Some(registry) = &self.telemetry {
-            let strategy = self.sketch_strategy_label();
             registry.counter(
                 "ferret_sketch_objects_total",
-                "Objects sketched on the ingest path, by construction strategy.",
-                &[("strategy", strategy)],
+                "Objects sketched on the ingest path.",
+                &[],
             );
             registry.gauge(
                 "ferret_sketch_objects_per_sec",
                 "Ingest sketch-construction throughput of the most recent batch.",
-                &[("strategy", strategy)],
+                &[],
             );
             // Pushdown counters likewise appear at zero so dashboards can
             // tell "no hybrid queries yet" from "series missing".
@@ -1106,9 +1025,6 @@ impl SearchEngine {
         t.segments_scanned = stats.segments_scanned;
         t.distance_evals = stats.distance_evals;
         t.results = results;
-        if t.sketch.is_some() {
-            t.sketch_strategy = Some(self.sketch_strategy_label().to_string());
-        }
         if let Some(registry) = &self.telemetry {
             Self::record_query_metrics(registry, t);
         }
@@ -1140,13 +1056,10 @@ impl SearchEngine {
             );
         }
         if let Some(st) = &trace.sketch {
-            // The sketch stage carries which construction strategy built the
-            // query sketch: "classic" or "one-pass".
-            let strategy = trace.sketch_strategy.as_deref().unwrap_or("classic");
             registry.observe_latency(
                 "ferret_query_stage_seconds",
                 "Per-stage query latency (sketch, filter scan, EMD rank).",
-                &[("stage", "sketch"), ("mode", mode), ("strategy", strategy)],
+                &[("stage", "sketch"), ("mode", mode)],
                 st.duration,
             );
         }

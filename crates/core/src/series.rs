@@ -86,7 +86,7 @@ pub const SERIES: &[SeriesDef] = series![
     "ferret_segments", G, "Immutable sealed segments in the engine.";
     "ferret_sketch_build_seconds", HL, "Sketch-construction latency per ingest batch.";
     "ferret_sketch_objects_per_sec", G, "Ingest sketch-construction throughput of the most recent batch.";
-    "ferret_sketch_objects_total", C, "Objects sketched on the ingest path, by construction strategy.";
+    "ferret_sketch_objects_total", C, "Objects sketched on the ingest path.";
     "ferret_store_errors_total", C, "Store-layer failures surfaced by the service, by operation.";
 ];
 

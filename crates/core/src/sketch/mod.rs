@@ -10,11 +10,10 @@
 pub mod arena;
 pub mod bitvec;
 pub mod builder;
-pub mod onepass;
+mod onepass;
 pub mod params;
 
 pub use arena::SketchArena;
 pub use bitvec::BitVec;
 pub use builder::{SketchBuilder, SketchedObject};
-pub use onepass::{OnePassPlan, SketchStrategy};
 pub use params::SketchParams;

@@ -1,11 +1,11 @@
-//! One-pass weighted sketch construction.
+//! Algorithm 2, evaluated in one pass over a vector's components.
 //!
-//! The classic construction (Algorithm 2) evaluates all `N × K` random
-//! `(i, t)` pairs independently per vector: `O(N·K)` comparisons each of
-//! which XORs one raw bit into an output bit. Following the shape of
+//! Written literally, Algorithm 2 evaluates all `N × K` random `(i, t)`
+//! pairs independently per vector: `O(N·K)` comparisons, each of which
+//! XORs one raw bit into an output bit. Following the shape of
 //! *DartMinHash* (Christiani) and *Fast Similarity Sketching*
-//! (Dahlgaard–Knudsen–Thorup), the one-pass strategy reorganizes the same
-//! random pairs into per-dimension **plans** so a vector is sketched in a
+//! (Dahlgaard–Knudsen–Thorup), [`OnePassPlan`] reorganizes the same
+//! random pairs into per-dimension **runs** so a vector is sketched in a
 //! single sweep over its components:
 //!
 //! * all `(i, t)` pairs with the same dimension `i` form one contiguous
@@ -17,61 +17,19 @@
 //!   XOR-fold of the first `c·S` flip targets, precomputed as packed
 //!   `u64` words. A prefix of length `idx` is applied as one mask XOR
 //!   plus at most `S − 1` individual bit flips;
-//! * components at or below a run's smallest threshold terminate early
-//!   (no raw 1-bits), which on weight-skewed data skips most runs
+//! * components below a run's smallest threshold (or NaN) terminate
+//!   early (no raw 1-bits), which on weight-skewed data skips most runs
 //!   outright — the DartMinHash observation that low-weight coordinates
 //!   rarely produce sketch updates.
 //!
-//! The result is *bit-identical* to the classic construction for the same
-//! parameters and seed — the strategy is a pure performance knob — while
-//! the per-vector work drops from `O(N·K)` comparisons to
-//! `O(D·(log(N·K/D) + N/64 + S))` word operations, independent of `K`.
+//! The result is *bit-identical* to the per-pair loop for the same
+//! parameters and seed — that loop is kept as the test oracle in
+//! `builder.rs` — while the per-vector work drops from `O(N·K)`
+//! comparisons to `O(D·(log(N·K/D) + N/64 + S))` word operations,
+//! independent of `K`.
 
 use super::bitvec::BitVec;
 use super::params::SketchParams;
-use crate::error::{CoreError, Result};
-
-/// How the sketch construction unit evaluates its `N × K` random pairs.
-///
-/// Both strategies produce **byte-identical sketches** for the same
-/// parameters and seed (pinned by the golden-sketch fixtures and the
-/// cross-strategy proptests); they differ only in the work done per
-/// vector. This mirrors the [`Parallelism`](crate::parallel::Parallelism)
-/// knob pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SketchStrategy {
-    /// The paper's Algorithm 2: evaluate each of the `N × K` pairs
-    /// independently — `O(N·K)` comparisons per vector.
-    #[default]
-    Classic,
-    /// Pre-sorted per-dimension plans with checkpointed XOR-fold masks:
-    /// ~one pass over the vector's components per sketch, with work
-    /// independent of `K`.
-    OnePass,
-}
-
-impl std::fmt::Display for SketchStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SketchStrategy::Classic => "classic",
-            SketchStrategy::OnePass => "one-pass",
-        })
-    }
-}
-
-impl std::str::FromStr for SketchStrategy {
-    type Err = CoreError;
-
-    fn from_str(s: &str) -> Result<Self> {
-        match s {
-            "classic" => Ok(SketchStrategy::Classic),
-            "one-pass" | "onepass" | "one_pass" => Ok(SketchStrategy::OnePass),
-            other => Err(CoreError::InvalidSketchParams(format!(
-                "unknown sketch strategy {other:?} (expected classic or one-pass)"
-            ))),
-        }
-    }
-}
 
 /// Checkpoint stride `S`: a prefix mask is precomputed every `S` entries
 /// of a run, so applying a prefix costs one mask XOR plus at most `S − 1`
@@ -89,13 +47,13 @@ struct Run {
     mask_start: u32,
 }
 
-/// The pre-sorted execution plan of the one-pass strategy.
+/// The pre-sorted execution plan of Algorithm 2.
 ///
-/// Built once per [`SketchBuilder`](super::SketchBuilder) from the same
-/// `N × K` random `(i, t)` pairs the classic loop walks; sketching then
-/// only reads the plan.
+/// Compiled once per [`SketchBuilder`](super::SketchBuilder) from the
+/// `N × K` random `(i, t)` pairs of Algorithm 1; sketching then only
+/// reads the plan.
 #[derive(Debug, Clone)]
-pub struct OnePassPlan {
+pub(crate) struct OnePassPlan {
     /// One run per dimension (empty runs for never-sampled dimensions).
     runs: Vec<Run>,
     /// Thresholds, sorted ascending within each run.
@@ -116,7 +74,7 @@ impl OnePassPlan {
     /// per-dimension runs with checkpoint masks. `rnd_i[p]` / `rnd_t[p]`
     /// are the sampled dimension and threshold of raw pair `p`, which
     /// XOR-folds into output bit `p / K`.
-    pub fn build(params: &SketchParams, rnd_i: &[u32], rnd_t: &[f32]) -> Self {
+    pub(crate) fn build(params: &SketchParams, rnd_i: &[u32], rnd_t: &[f32]) -> Self {
         debug_assert_eq!(rnd_i.len(), params.nbits * params.xor_folds);
         debug_assert_eq!(rnd_t.len(), rnd_i.len());
         let dims = params.dim();
@@ -172,22 +130,9 @@ impl OnePassPlan {
         }
     }
 
-    /// Sketch length in bits.
-    pub fn nbits(&self) -> usize {
-        self.nbits
-    }
-
-    /// Approximate resident size of the plan, in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.runs.len() * std::mem::size_of::<Run>()
-            + self.thresholds.len() * 4
-            + self.flip_bits.len() * 4
-            + self.masks.len() * 8
-    }
-
     /// Sketches raw components in one sweep. The caller guarantees
     /// `v.len()` equals the plan's dimensionality.
-    pub fn sketch_components(&self, v: &[f32]) -> BitVec {
+    pub(crate) fn sketch_components(&self, v: &[f32]) -> BitVec {
         debug_assert_eq!(v.len(), self.runs.len());
         let words = self.words_per_mask;
         let mut acc = vec![0u64; words];
@@ -201,7 +146,7 @@ impl OnePassPlan {
             // Early termination: a component at or above the run's
             // largest threshold takes the whole run; one below the
             // smallest (or NaN, for which every comparison is false —
-            // matching the classic `v_i >= t` evaluation) contributes no
+            // matching Algorithm 2's `v_i >= t` evaluation) contributes no
             // raw 1-bits at all.
             let idx = if x >= ts[len - 1] {
                 len
@@ -232,34 +177,4 @@ impl OnePassPlan {
 /// by flip bit for a deterministic plan layout.
 fn f32_pair_order(a: &(f32, u32), b: &(f32, u32)) -> std::cmp::Ordering {
     a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn strategy_parses_and_displays() {
-        for (s, v) in [
-            ("classic", SketchStrategy::Classic),
-            ("one-pass", SketchStrategy::OnePass),
-            ("onepass", SketchStrategy::OnePass),
-            ("one_pass", SketchStrategy::OnePass),
-        ] {
-            assert_eq!(s.parse::<SketchStrategy>().unwrap(), v);
-        }
-        assert!("fast".parse::<SketchStrategy>().is_err());
-        assert_eq!(SketchStrategy::Classic.to_string(), "classic");
-        assert_eq!(SketchStrategy::OnePass.to_string(), "one-pass");
-        assert_eq!(SketchStrategy::default(), SketchStrategy::Classic);
-    }
-
-    #[test]
-    fn plan_reports_memory() {
-        let params = SketchParams::with_options(64, 2, vec![0.0; 4], vec![1.0; 4], None).unwrap();
-        let b = super::super::SketchBuilder::with_strategy(params, 3, SketchStrategy::OnePass);
-        let plan = b.one_pass_plan().expect("one-pass builder has a plan");
-        assert!(plan.memory_bytes() > 0);
-        assert_eq!(plan.nbits(), 64);
-    }
 }

@@ -591,9 +591,6 @@ pub struct QueryTrace {
     pub total: Duration,
     /// Sketching the query object (absent for sketch-seeded queries).
     pub sketch: Option<StageTrace>,
-    /// Which sketch construction strategy built the query sketch:
-    /// `"classic"` or `"one-pass"` (absent when no sketch stage ran).
-    pub sketch_strategy: Option<String>,
     /// The filtering scan (filter mode only).
     pub filter: Option<StageTrace>,
     /// Ranking the candidates.
@@ -622,16 +619,11 @@ impl QueryTrace {
             ),
             None => "null".to_string(),
         };
-        let opt_str = |s: &Option<String>| match s {
-            Some(s) => format!("\"{}\"", escape_label_value(s)),
-            None => "null".to_string(),
-        };
         format!(
-            "{{\"mode\":\"{}\",\"total_seconds\":{},\"sketch\":{},\"sketch_strategy\":{},\"filter\":{},\"rank\":{},\"objects_scanned\":{},\"segments_scanned\":{},\"candidates\":{},\"distance_evals\":{},\"results\":{}}}",
+            "{{\"mode\":\"{}\",\"total_seconds\":{},\"sketch\":{},\"filter\":{},\"rank\":{},\"objects_scanned\":{},\"segments_scanned\":{},\"candidates\":{},\"distance_evals\":{},\"results\":{}}}",
             escape_label_value(&self.mode),
             format_f64(self.total.as_secs_f64()),
             stage(&self.sketch),
-            opt_str(&self.sketch_strategy),
             stage(&self.filter),
             stage(&self.rank),
             self.objects_scanned,
@@ -803,7 +795,6 @@ mod tests {
                 duration: Duration::from_micros(100),
                 threads: 1,
             }),
-            sketch_strategy: Some("one-pass".into()),
             filter: Some(StageTrace {
                 duration: Duration::from_millis(3),
                 threads: 4,
@@ -820,7 +811,11 @@ mod tests {
         };
         let json = trace.to_json();
         assert!(json.contains("\"mode\":\"filtering\""), "{json}");
-        assert!(json.contains("\"sketch_strategy\":\"one-pass\""), "{json}");
+        assert!(
+            json.contains("\"sketch\":{\"seconds\":0.0001,\"threads\":1}"),
+            "{json}"
+        );
+        assert!(!json.contains("strategy"), "{json}");
         assert!(json.contains("\"candidates\":12"), "{json}");
         assert!(json.contains("\"threads\":4"), "{json}");
         assert!(json.ends_with("\"results\":10}"), "{json}");

@@ -4,8 +4,8 @@
 //! Sketch bytes are persisted (disk store, sketch files) and compared
 //! across processes, so the construction must never drift — a change in
 //! RNG stream order, threshold comparison, fold order, or bit packing
-//! would silently corrupt every existing database. Both strategies must
-//! reproduce the fixture exactly.
+//! would silently corrupt every existing database. The production builder
+//! must reproduce the fixture exactly.
 //!
 //! To regenerate after an *intentional* format change:
 //! `GOLDEN_REGEN=1 cargo test -p ferret-core --test golden_sketches`
@@ -19,7 +19,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use ferret_core::sketch::{SketchBuilder, SketchParams, SketchStrategy};
+use ferret_core::sketch::{SketchBuilder, SketchParams};
 
 const SEED: u64 = 0x00FE_44E7;
 const CORPUS_SIZE: usize = 24;
@@ -72,7 +72,7 @@ fn pinned_corpus(params: &SketchParams) -> Vec<Vec<f32>> {
 fn render_sketches(builder: &SketchBuilder, corpus: &[Vec<f32>]) -> String {
     let mut out = String::new();
     for v in corpus {
-        let sketch = builder.sketch_components(v);
+        let sketch = builder.sketch_components(v).unwrap();
         for byte in sketch.to_bytes() {
             write!(out, "{byte:02x}").unwrap();
         }
@@ -85,8 +85,8 @@ fn render_sketches(builder: &SketchBuilder, corpus: &[Vec<f32>]) -> String {
 fn golden_sketches_are_stable() {
     let params = pinned_params();
     let corpus = pinned_corpus(&params);
-    let classic = SketchBuilder::with_strategy(params.clone(), SEED, SketchStrategy::Classic);
-    let rendered = render_sketches(&classic, &corpus);
+    let builder = SketchBuilder::new(params, SEED);
+    let rendered = render_sketches(&builder, &corpus);
 
     let path = fixture_path();
     if std::env::var_os("GOLDEN_REGEN").is_some() {
@@ -108,14 +108,6 @@ fn golden_sketches_are_stable() {
              persisted store; see the module docs before regenerating"
         );
     }
-
-    // The one-pass strategy must land on the same bytes.
-    let one_pass = SketchBuilder::with_strategy(params, SEED, SketchStrategy::OnePass);
-    assert_eq!(
-        render_sketches(&one_pass, &corpus),
-        rendered,
-        "one-pass sketches differ from classic on the golden corpus"
-    );
 }
 
 #[test]

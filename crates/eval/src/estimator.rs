@@ -3,7 +3,7 @@
 //! The sketch construction of paper §4.1.1 promises that the Hamming
 //! distance between two `N`-bit sketches estimates a thresholded transform
 //! of the weighted ℓ₁ distance between the original vectors. This module
-//! checks that promise directly, for any [`SketchStrategy`]: it computes
+//! checks that promise directly for a [`SketchBuilder`]: it computes
 //! the *exact* per-bit collision probability implied by the construction's
 //! sampling distribution, sketches a seeded corpus, and asserts that every
 //! observed pairwise Hamming fraction falls inside a Chernoff/Hoeffding
@@ -15,25 +15,15 @@
 //! Hoeffding's inequality then bounds the deviation of the observed
 //! fraction `h/N` from `P_K` by
 //! `ε = sqrt(ln(2·pairs/δ) / (2N))` with overall failure probability at
-//! most `δ` (union bound over all checked pairs). A strategy whose
-//! construction is wrong — biased thresholds, skipped flips, broken
-//! XOR-folding — lands outside the band with overwhelming probability,
-//! while any faithful implementation passes for all but a `δ` fraction of
-//! seeds.
-//!
-//! The module also provides a recall-parity check: two engines differing
-//! only in [`SketchStrategy`] must rank identically on a clustered
-//! benchmark suite (the strategies are bit-identical by design, so the
-//! divergence count must be zero).
+//! most `δ` (union bound over all checked pairs). A construction that is
+//! wrong — biased thresholds, skipped flips, broken XOR-folding — lands
+//! outside the band with overwhelming probability, while any faithful
+//! implementation passes for all but a `δ` fraction of seeds.
 
-use ferret_core::engine::{EngineBuilder, EngineConfig, QueryOptions, SearchEngine};
 use ferret_core::error::Result;
 use ferret_core::object::{DataObject, ObjectId};
-use ferret_core::sketch::{SketchBuilder, SketchParams, SketchStrategy};
+use ferret_core::sketch::{SketchBuilder, SketchParams};
 use ferret_core::vector::FeatureVector;
-
-use crate::benchmark::BenchmarkSuite;
-use crate::metrics::{score_query, QualityAccumulator, QualityScores};
 
 /// SplitMix64: the dependency-free seeded generator used for corpus
 /// synthesis (the same construction the bench harnesses use).
@@ -190,18 +180,19 @@ impl EstimatorReport {
 
 /// Evaluates an already-constructed builder against every pair of corpus
 /// vectors, sizing the tolerance bands for an overall failure probability
-/// `delta` (union bound over the pair count).
+/// `delta` (union bound over the pair count). Fails if a corpus vector
+/// does not match the builder's dimensionality.
 pub fn evaluate_builder(
     builder: &SketchBuilder,
     corpus: &[Vec<f32>],
     delta: f64,
-) -> EstimatorReport {
+) -> Result<EstimatorReport> {
     let params = builder.params().clone();
     let n = builder.nbits() as f64;
-    let sketches: Vec<_> = corpus
+    let sketches = corpus
         .iter()
         .map(|v| builder.sketch_components(v))
-        .collect();
+        .collect::<Result<Vec<_>>>()?;
     let pairs = corpus.len() * corpus.len().saturating_sub(1) / 2;
     let tolerance = ((2.0 * pairs.max(1) as f64 / delta).ln() / (2.0 * n)).sqrt();
     let mut checks = Vec::with_capacity(pairs);
@@ -219,20 +210,7 @@ pub fn evaluate_builder(
             });
         }
     }
-    EstimatorReport { checks, delta }
-}
-
-/// Builds a sketcher with the given strategy and evaluates it: the
-/// single-call entry point of the harness.
-pub fn evaluate_strategy(
-    params: &SketchParams,
-    seed: u64,
-    strategy: SketchStrategy,
-    corpus: &[Vec<f32>],
-    delta: f64,
-) -> EstimatorReport {
-    let builder = SketchBuilder::with_strategy(params.clone(), seed, strategy);
-    evaluate_builder(&builder, corpus, delta)
+    Ok(EstimatorReport { checks, delta })
 }
 
 /// A deterministic clustered workload for recall checks: `clusters`
@@ -277,89 +255,6 @@ pub fn clustered_objects(
         sets.push(members);
     }
     (objects, sets)
-}
-
-/// The outcome of a Classic-vs-OnePass recall-parity run.
-#[derive(Debug, Clone)]
-pub struct ParityReport {
-    /// Quality of the classic-strategy engine.
-    pub classic: QualityScores,
-    /// Quality of the one-pass-strategy engine.
-    pub one_pass: QualityScores,
-    /// Queries executed per engine.
-    pub queries: usize,
-    /// Queries whose ranked result lists differed between the engines.
-    pub divergent_queries: usize,
-}
-
-impl ParityReport {
-    /// Whether the two strategies produced identical rankings (and hence
-    /// identical recall) on every query.
-    pub fn identical(&self) -> bool {
-        self.divergent_queries == 0
-    }
-}
-
-/// Runs the same benchmark suite against two freshly built engines that
-/// differ only in sketch strategy and compares their ranked results
-/// query by query.
-///
-/// Because `OnePass` is constructed to be bit-identical to `Classic`,
-/// any divergence (a nonzero [`ParityReport::divergent_queries`]) means
-/// one of the constructions is broken — there is no tolerance here.
-pub fn recall_parity(
-    params: &SketchParams,
-    seed: u64,
-    objects: &[(ObjectId, DataObject)],
-    suite: &BenchmarkSuite,
-    options: &QueryOptions,
-) -> Result<ParityReport> {
-    let build = |strategy: SketchStrategy| -> Result<SearchEngine> {
-        let mut config = EngineConfig::basic(params.clone(), seed);
-        config.sketch_strategy = strategy;
-        let mut engine = EngineBuilder::from_config(config).build()?;
-        for (id, object) in objects {
-            engine.insert(*id, object.clone())?;
-        }
-        Ok(engine)
-    };
-    let classic = build(SketchStrategy::Classic)?;
-    let one_pass = build(SketchStrategy::OnePass)?;
-
-    let mut acc_classic = QualityAccumulator::new();
-    let mut acc_one_pass = QualityAccumulator::new();
-    let mut queries = 0usize;
-    let mut divergent = 0usize;
-    for set in &suite.sets {
-        let query = set.members[0];
-        let mut opts = options.clone();
-        opts.k = opts.k.max(2 * (set.members.len() - 1) + 1);
-        let resp_c = classic.query_by_id(query, &opts)?;
-        let resp_o = one_pass.query_by_id(query, &opts)?;
-        let ranked_c: Vec<ObjectId> = resp_c.results.iter().map(|r| r.id).collect();
-        let ranked_o: Vec<ObjectId> = resp_o.results.iter().map(|r| r.id).collect();
-        queries += 1;
-        if ranked_c != ranked_o {
-            divergent += 1;
-        }
-        if let Some(s) = score_query(query, &set.members, &ranked_c, classic.len()) {
-            acc_classic.add(s);
-        }
-        if let Some(s) = score_query(query, &set.members, &ranked_o, one_pass.len()) {
-            acc_one_pass.add(s);
-        }
-    }
-    let zero = QualityScores {
-        first_tier: 0.0,
-        second_tier: 0.0,
-        average_precision: 0.0,
-    };
-    Ok(ParityReport {
-        classic: acc_classic.mean().unwrap_or(zero),
-        one_pass: acc_one_pass.mean().unwrap_or(zero),
-        queries,
-        divergent_queries: divergent,
-    })
 }
 
 #[cfg(test)]

@@ -1,23 +1,20 @@
-//! Estimator-quality suite: both sketch strategies must produce Hamming
+//! Estimator-quality suite: the sketch builder must produce Hamming
 //! distances that track the analytic collision probability within
-//! Chernoff/Hoeffding tolerance bands, and must rank identically on a
-//! clustered recall benchmark.
+//! Chernoff/Hoeffding tolerance bands, and the engine built on it must
+//! find tight clusters on a clustered recall benchmark.
 //!
 //! The bands are sized for an overall failure probability of `DELTA`
 //! over the builder seed; the seeds below are pinned, so the suite is
 //! fully deterministic.
 
-use ferret_core::engine::QueryOptions;
-use ferret_core::sketch::{SketchBuilder, SketchParams, SketchStrategy};
+use ferret_core::engine::{QueryOptions, SearchEngine};
+use ferret_core::sketch::{SketchBuilder, SketchParams};
 use ferret_eval::benchmark::BenchmarkSuite;
-use ferret_eval::estimator::{
-    clustered_objects, evaluate_builder, evaluate_strategy, recall_parity, seeded_corpus,
-};
+use ferret_eval::estimator::{clustered_objects, evaluate_builder, seeded_corpus};
+use ferret_eval::runner::run_suite;
 
 const DELTA: f64 = 1e-6;
 const SEED: u64 = 0x00FE_44E7;
-
-const STRATEGIES: [SketchStrategy; 2] = [SketchStrategy::Classic, SketchStrategy::OnePass];
 
 /// Parameter shapes covering the interesting corners of the
 /// construction: no folding, heavy folding, skewed ranges, and explicit
@@ -58,49 +55,29 @@ fn param_shapes() -> Vec<(&'static str, SketchParams)> {
 }
 
 #[test]
-fn both_strategies_pass_tolerance_bands_on_all_shapes() {
+fn sketches_pass_tolerance_bands_on_all_shapes() {
     for (name, params) in param_shapes() {
         let corpus = seeded_corpus(&params, 12, SEED);
-        for strategy in STRATEGIES {
-            let report = evaluate_strategy(&params, SEED, strategy, &corpus, DELTA);
-            assert!(
-                report.pass(),
-                "{name}/{strategy}: {} of {} pairs outside the band \
-                 (max deviation {:.4}, tolerance {:.4})",
-                report.violations().len(),
-                report.checks.len(),
-                report.max_deviation(),
-                report.checks[0].tolerance,
-            );
-            // The bands are loose by construction; the typical deviation
-            // must be much tighter than the worst-case bound, otherwise
-            // the estimator is systematically biased.
-            assert!(
-                report.mean_abs_deviation() < report.checks[0].tolerance / 2.0,
-                "{name}/{strategy}: mean deviation {:.4} suspiciously close to band {:.4}",
-                report.mean_abs_deviation(),
-                report.checks[0].tolerance,
-            );
-        }
-    }
-}
-
-#[test]
-fn strategies_report_identical_observations() {
-    // Beyond both being within-band: the two strategies are bit-identical
-    // by construction, so their observed Hamming fractions must agree
-    // exactly, pair for pair.
-    for (name, params) in param_shapes() {
-        let corpus = seeded_corpus(&params, 10, SEED ^ 0xA5A5);
-        let classic = evaluate_strategy(&params, SEED, SketchStrategy::Classic, &corpus, DELTA);
-        let one_pass = evaluate_strategy(&params, SEED, SketchStrategy::OnePass, &corpus, DELTA);
-        for (c, o) in classic.checks.iter().zip(&one_pass.checks) {
-            assert_eq!(
-                c.observed, o.observed,
-                "{name}: pair ({}, {})",
-                c.left, c.right
-            );
-        }
+        let builder = SketchBuilder::new(params, SEED);
+        let report = evaluate_builder(&builder, &corpus, DELTA).unwrap();
+        assert!(
+            report.pass(),
+            "{name}: {} of {} pairs outside the band \
+             (max deviation {:.4}, tolerance {:.4})",
+            report.violations().len(),
+            report.checks.len(),
+            report.max_deviation(),
+            report.checks[0].tolerance,
+        );
+        // The bands are loose by construction; the typical deviation
+        // must be much tighter than the worst-case bound, otherwise
+        // the estimator is systematically biased.
+        assert!(
+            report.mean_abs_deviation() < report.checks[0].tolerance / 2.0,
+            "{name}: mean deviation {:.4} suspiciously close to band {:.4}",
+            report.mean_abs_deviation(),
+            report.checks[0].tolerance,
+        );
     }
 }
 
@@ -122,16 +99,16 @@ fn negative_control_mismatched_builders_fail_bands() {
         corpus.push(v.iter().map(|x| x + 0.01).collect());
     }
     // Interleave: even indices sketched by `a`, odd by `b`.
-    let report_ok = evaluate_builder(&a, &corpus, DELTA);
+    let report_ok = evaluate_builder(&a, &corpus, DELTA).unwrap();
     assert!(report_ok.pass(), "sanity: single builder must pass");
     let sketches: Vec<_> = corpus
         .iter()
         .enumerate()
         .map(|(i, v)| {
             if i % 2 == 0 {
-                a.sketch_components(v)
+                a.sketch_components(v).unwrap()
             } else {
-                b.sketch_components(v)
+                b.sketch_components(v).unwrap()
             }
         })
         .collect();
@@ -160,34 +137,27 @@ fn negative_control_mismatched_builders_fail_bands() {
 }
 
 #[test]
-fn recall_parity_between_strategies_is_exact() {
+fn engine_finds_tight_clusters() {
     let params = SketchParams::with_options(256, 2, vec![-1.0; 8], vec![1.0; 8], None).unwrap();
     let (objects, sets) = clustered_objects(&params, 6, 5, 0.02, SEED);
     let suite = BenchmarkSuite::from_sets(&sets);
+    let mut engine = SearchEngine::builder(params, SEED).build().unwrap();
+    for (id, object) in objects {
+        engine.insert(id, object).unwrap();
+    }
     for options in [
         QueryOptions::default(),
         QueryOptions::brute_force_sketch(10),
     ] {
-        let report = recall_parity(&params, SEED, &objects, &suite, &options).unwrap();
-        assert_eq!(report.queries, 6);
-        assert!(
-            report.identical(),
-            "{} of {} queries diverged between strategies",
-            report.divergent_queries,
-            report.queries
-        );
-        assert_eq!(report.classic.first_tier, report.one_pass.first_tier);
-        assert_eq!(report.classic.second_tier, report.one_pass.second_tier);
-        assert_eq!(
-            report.classic.average_precision,
-            report.one_pass.average_precision
-        );
+        let result = run_suite(&engine, &suite, &options).unwrap();
+        assert_eq!(result.outcomes.len(), 6, "{:?}", options.mode);
         // Tight clusters inside the range: the sketch pipeline must
-        // actually find them, not merely agree on garbage.
+        // actually find them.
         assert!(
-            report.classic.average_precision > 0.8,
-            "average precision {:.3} too low for tight clusters",
-            report.classic.average_precision
+            result.quality.average_precision > 0.8,
+            "{:?}: average precision {:.3} too low for tight clusters",
+            options.mode,
+            result.quality.average_precision
         );
     }
 }

@@ -16,7 +16,6 @@ const RULE: &str = "strategy-enum-parity";
 
 /// `(enum name, defining file)` pairs under contract.
 pub const ENUMS: &[(&str, &str)] = &[
-    ("SketchStrategy", "crates/core/src/sketch/onepass.rs"),
     ("Parallelism", "crates/core/src/parallel.rs"),
     ("FusionMode", "crates/core/src/engine.rs"),
     ("IndexLayout", "crates/core/src/segment/mod.rs"),
@@ -33,7 +32,7 @@ fn impl_block(f: &SourceFile, traits: &[&str], ty: &str) -> Option<(usize, usize
     for t in traits {
         let pattern = format!("impl {t} for {ty}");
         for pos in find_all(&f.scrubbed, &pattern) {
-            // Require a word boundary so `SketchStrategyExt` doesn't match.
+            // Require a word boundary so `IndexLayoutExt` doesn't match.
             let after = f.scrubbed.as_bytes().get(pos + pattern.len());
             if after.is_some_and(|b| b.is_ascii_alphanumeric() || *b == b'_') {
                 continue;

@@ -21,11 +21,9 @@ echo "==> integration: server, determinism, telemetry, concurrent serving"
 cargo test -q --test server_and_acquisition --test parallel_determinism --test telemetry \
     --test concurrent_serving
 
-echo "==> sketch strategies: estimator quality, golden fixtures, cross-strategy determinism"
-# Fixed seed so the randomized cross-strategy corpora are reproducible.
+echo "==> sketch construction: estimator quality, golden fixtures"
 cargo test -q -p ferret-eval --test estimator_quality
 cargo test -q -p ferret-core --test golden_sketches
-PROPTEST_SEED=20260805 cargo test -q --test sketch_strategy
 
 echo "==> hybrid queries: pushdown equivalence, result cache, golden fusion"
 # Fixed seed so the pushdown/cache equivalence corpora are reproducible.
@@ -80,7 +78,7 @@ mkdir "$SMOKE_DIR/watch"
 printf '1 0.1 0.2\n1 0.3 0.4\n' > "$SMOKE_DIR/watch/a.fvec"
 printf '1 0.8 0.9\n' > "$SMOKE_DIR/watch/b.fvec"
 target/release/ferret serve --db "$SMOKE_DIR/db" --watch "$SMOKE_DIR/watch" --dim 2 \
-    --max-inflight 8 --sketch-strategy one-pass \
+    --max-inflight 8 \
     --tcp 127.0.0.1:0 --http 127.0.0.1:0 > "$SMOKE_DIR/serve.log" 2>&1 &
 SERVE_PID=$!
 HTTP_ADDR=""
@@ -174,15 +172,20 @@ done
 # The filter-mode search above timed its filter stage.
 echo "$METRICS" | grep "^ferret_query_stage_seconds" | grep -q 'stage="filter"' \
     || { echo "/metrics missing the filter stage timer:"; echo "$METRICS" | grep '^ferret_query_stage' | head -n 20; exit 1; }
-# The server ran with --sketch-strategy one-pass: the eagerly registered
-# ingest series exist and the sketch stage timer of the filter-mode
-# search above carries the one-pass strategy label.
+# The eagerly registered ingest series exist, the filter-mode search
+# above timed its sketch stage, and sketch construction has one path, so
+# no sketch or stage series carries a strategy label.
 for series in ferret_sketch_objects_total ferret_sketch_objects_per_sec; do
     echo "$METRICS" | grep -q "^$series" \
         || { echo "/metrics missing $series:"; echo "$METRICS" | grep '^ferret_' | head -n 20; exit 1; }
 done
-echo "$METRICS" | grep "^ferret_query_stage_seconds" | grep 'stage="sketch"' | grep -q 'strategy="one-pass"' \
-    || { echo "/metrics sketch stage missing one-pass strategy label:"; echo "$METRICS" | grep '^ferret_query_stage' | head -n 20; exit 1; }
+echo "$METRICS" | grep "^ferret_query_stage_seconds" | grep -q 'stage="sketch"' \
+    || { echo "/metrics missing the sketch stage timer:"; echo "$METRICS" | grep '^ferret_query_stage' | head -n 20; exit 1; }
+if echo "$METRICS" | grep -E "^(ferret_sketch_|ferret_query_stage_seconds)" | grep -q 'strategy='; then
+    echo "/metrics sketch series still carry a strategy label:"
+    echo "$METRICS" | grep -E "^(ferret_sketch_|ferret_query_stage_seconds)" | grep 'strategy='
+    exit 1
+fi
 # Hybrid-query instrumentation: the result cache and predicate pushdown
 # were both exercised above, so their series exist and the replayed
 # hybrid search registered as a cache hit (and the cold one as a miss).

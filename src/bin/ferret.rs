@@ -25,7 +25,7 @@ use ferret::core::engine::EngineConfig;
 use ferret::core::object::{DataObject, ObjectId};
 use ferret::core::parallel::Parallelism;
 use ferret::core::segment::IndexLayout;
-use ferret::core::sketch::{SketchParams, SketchStrategy};
+use ferret::core::sketch::SketchParams;
 use ferret::core::telemetry::MetricsRegistry;
 use ferret::datatypes::generic::FvecExtractor;
 use ferret::query::{
@@ -47,7 +47,6 @@ struct Options {
     http: String,
     scan_interval: u64,
     threads: Parallelism,
-    sketch_strategy: SketchStrategy,
     index_layout: IndexLayout,
     memtable_size: usize,
     compaction: bool,
@@ -61,7 +60,7 @@ struct Options {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  ferret serve  --db <dir> --watch <dir> --dim <D> [--bits N] [--k K]\n                [--tcp addr] [--http addr] [--scan-interval secs]\n                [--threads N|auto|serial] [--workers N] [--max-inflight N]\n                [--cache-capacity N] [--sketch-strategy classic|one-pass]\n                [--no-telemetry] [--index-layout monolithic|segmented]\n                [--memtable-size N] [--compaction on|off]\n  ferret import --db <dir> --watch <dir> --dim <D> [--bits N] [--k K]\n                [--threads N|auto|serial] [--sketch-strategy classic|one-pass]\n  ferret query  --addr <host:port> <command ...>"
+        "usage:\n  ferret serve  --db <dir> --watch <dir> --dim <D> [--bits N] [--k K]\n                [--tcp addr] [--http addr] [--scan-interval secs]\n                [--threads N|auto|serial] [--workers N] [--max-inflight N]\n                [--cache-capacity N] [--no-telemetry]\n                [--index-layout monolithic|segmented]\n                [--memtable-size N] [--compaction on|off]\n  ferret import --db <dir> --watch <dir> --dim <D> [--bits N] [--k K]\n                [--threads N|auto|serial]\n  ferret query  --addr <host:port> <command ...>"
     );
     std::process::exit(2);
 }
@@ -77,7 +76,6 @@ fn parse_options(args: &[String]) -> Options {
         http: "127.0.0.1:8080".to_string(),
         scan_interval: 5,
         threads: Parallelism::Auto,
-        sketch_strategy: SketchStrategy::Classic,
         index_layout: IndexLayout::Monolithic,
         memtable_size: ferret::core::engine::DEFAULT_MEMTABLE_SIZE,
         compaction: true,
@@ -126,10 +124,6 @@ fn parse_options(args: &[String]) -> Options {
             }
             "--threads" => {
                 opts.threads = parse_threads(need(i)).unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--sketch-strategy" => {
-                opts.sketch_strategy = need(i).parse().unwrap_or_else(|_| usage());
                 i += 2;
             }
             "--index-layout" => {
@@ -247,7 +241,6 @@ fn open_service(opts: &Options) -> FerretService {
     .expect("valid sketch parameters");
     let mut config = EngineConfig::basic(params, ENGINE_SEED);
     config.parallelism = opts.threads;
-    config.sketch_strategy = opts.sketch_strategy;
     config.index_layout = opts.index_layout;
     config.memtable_size = opts.memtable_size;
     config.compaction = opts.compaction;

@@ -160,7 +160,7 @@ fn point(x: f32) -> DataObject {
 
 fn sketched_total(registry: &MetricsRegistry) -> u64 {
     registry
-        .counter_value("ferret_sketch_objects_total", &[("strategy", "classic")])
+        .counter_value("ferret_sketch_objects_total", &[])
         .unwrap()
 }
 

@@ -10,16 +10,16 @@
 //! filtering with an unbounded candidate budget). For the pruned
 //! filtering path the oracle is stronger: the restricted query must
 //! equal the same query against a *fresh engine built from only the
-//! matching objects*, across every sketch strategy and thread count.
+//! matching objects*, across thread counts.
 
 use std::collections::HashSet;
 
 use proptest::prelude::*;
 
-use ferret::core::engine::{EngineBuilder, EngineConfig, QueryMode, QueryOptions, SearchEngine};
+use ferret::core::engine::{EngineConfig, QueryMode, QueryOptions, SearchEngine};
 use ferret::core::object::{DataObject, ObjectId};
 use ferret::core::parallel::Parallelism;
-use ferret::core::sketch::{SketchParams, SketchStrategy};
+use ferret::core::sketch::SketchParams;
 use ferret::core::vector::FeatureVector;
 
 const DIM: usize = 4;
@@ -41,16 +41,12 @@ fn object_strategy() -> impl Strategy<Value = DataObject> {
     })
 }
 
-fn build_engine(
-    sketch: SketchStrategy,
-    parallelism: Parallelism,
-    items: &[(ObjectId, DataObject)],
-) -> SearchEngine {
+fn build_engine(parallelism: Parallelism, items: &[(ObjectId, DataObject)]) -> SearchEngine {
     let params = SketchParams::with_options(96, 2, vec![0.0; DIM], vec![1.0; DIM], None).unwrap();
-    let mut config = EngineConfig::basic(params, SEED);
-    config.sketch_strategy = sketch;
-    config.parallelism = parallelism;
-    let mut engine = EngineBuilder::from_config(config).build().unwrap();
+    let mut engine = SearchEngine::builder(params, SEED)
+        .parallelism(parallelism)
+        .build()
+        .unwrap();
     engine.insert_batch(items.to_vec()).unwrap();
     engine
 }
@@ -69,17 +65,15 @@ proptest! {
         objects in prop::collection::vec(object_strategy(), 4..12),
         mask in prop::collection::vec(any::<bool>(), 12),
         par_idx in 0usize..2,
-        sketch_idx in 0usize..2,
         k in 1usize..6,
     ) {
         let parallelism = [Parallelism::Serial, Parallelism::Threads(3)][par_idx];
-        let sketch = [SketchStrategy::Classic, SketchStrategy::OnePass][sketch_idx];
         let items: Vec<(ObjectId, DataObject)> = objects
             .iter()
             .enumerate()
             .map(|(i, o)| (ObjectId(i as u64), o.clone()))
             .collect();
-        let engine = build_engine(sketch, parallelism, &items);
+        let engine = build_engine(parallelism, &items);
         let allowed: HashSet<ObjectId> = items
             .iter()
             .enumerate()
@@ -118,8 +112,8 @@ proptest! {
 
             prop_assert_eq!(
                 hybrid, oracle,
-                "mode {:?} sketch {:?} par {:?} diverged from post-filter",
-                mode, sketch, parallelism
+                "mode {:?} par {:?} diverged from post-filter",
+                mode, parallelism
             );
         }
     }
@@ -133,11 +127,9 @@ proptest! {
         objects in prop::collection::vec(object_strategy(), 4..12),
         mask in prop::collection::vec(any::<bool>(), 12),
         par_idx in 0usize..2,
-        sketch_idx in 0usize..2,
         k in 1usize..6,
     ) {
         let parallelism = [Parallelism::Serial, Parallelism::Threads(3)][par_idx];
-        let sketch = [SketchStrategy::Classic, SketchStrategy::OnePass][sketch_idx];
         let items: Vec<(ObjectId, DataObject)> = objects
             .iter()
             .enumerate()
@@ -151,8 +143,8 @@ proptest! {
             .collect();
         let allowed: HashSet<ObjectId> = subset.iter().map(|(id, _)| *id).collect();
 
-        let full_engine = build_engine(sketch, parallelism, &items);
-        let subset_engine = build_engine(sketch, parallelism, &subset);
+        let full_engine = build_engine(parallelism, &items);
+        let subset_engine = build_engine(parallelism, &subset);
 
         let seed = &objects[0];
         let restricted = QueryOptions::default()
@@ -163,8 +155,8 @@ proptest! {
         let oracle = results_of(&subset_engine.query(seed, &plain).unwrap());
         prop_assert_eq!(
             hybrid, oracle,
-            "sketch {:?} par {:?}: restricted full engine != subset engine",
-            sketch, parallelism
+            "par {:?}: restricted full engine != subset engine",
+            parallelism
         );
     }
 }
@@ -183,7 +175,7 @@ fn empty_candidate_set_returns_no_results() {
             )
         })
         .collect();
-    let engine = build_engine(SketchStrategy::Classic, Parallelism::Serial, &items);
+    let engine = build_engine(Parallelism::Serial, &items);
     for mode in [
         QueryMode::BruteForceOriginal,
         QueryMode::BruteForceSketch,
@@ -212,7 +204,7 @@ fn all_match_candidate_set_equals_unrestricted() {
         })
         .collect();
     let everyone: HashSet<ObjectId> = items.iter().map(|(id, _)| *id).collect();
-    let engine = build_engine(SketchStrategy::Classic, Parallelism::Threads(2), &items);
+    let engine = build_engine(Parallelism::Threads(2), &items);
     for mode in [
         QueryMode::BruteForceOriginal,
         QueryMode::BruteForceSketch,

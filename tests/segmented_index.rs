@@ -244,10 +244,10 @@ fn reinsert_over_tombstone_uses_newest_payload() {
 #[test]
 fn service_retune_preserves_layout_and_bumps_cache_epoch() {
     let params = SketchParams::new(64, vec![0.0; 3], vec![1.0; 3]).unwrap();
-    let config = EngineConfig::basic(params, 5)
-        .with_index_layout(IndexLayout::Segmented)
-        .with_memtable_size(2)
-        .with_compaction(false);
+    let mut config = EngineConfig::basic(params, 5);
+    config.index_layout = IndexLayout::Segmented;
+    config.memtable_size = 2;
+    config.compaction = false;
     let mut svc = FerretService::in_memory(config).unwrap();
     for i in 0..12u64 {
         svc.insert(ObjectId(i), mixed_object(5, i), None).unwrap();

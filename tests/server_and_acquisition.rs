@@ -199,11 +199,8 @@ fn metrics_endpoint_end_to_end() {
         3.0,
         "rank stage not instrumented\n{body}"
     );
-    // The sketch stage records which construction strategy built the
-    // query sketch (classic unless configured otherwise); the filter stage
-    // has one path and no strategy label.
     assert_eq!(
-        get("ferret_query_stage_seconds_count{mode=\"filtering\",stage=\"sketch\",strategy=\"classic\"}"),
+        get("ferret_query_stage_seconds_count{mode=\"filtering\",stage=\"sketch\"}"),
         3.0,
         "sketch stage not instrumented\n{body}"
     );
