@@ -6,7 +6,7 @@
 
 use crate::error::{CoreError, Result};
 use crate::object::DataObject;
-use crate::sketch::{BitVec, SketchedObject};
+use crate::sketch::{BitVec, SketchParams, SketchedObject};
 use crate::vector::FeatureVector;
 
 fn take<'a>(bytes: &mut &'a [u8], n: usize) -> Result<&'a [u8]> {
@@ -29,6 +29,10 @@ fn get_u32(bytes: &mut &[u8]) -> Result<u32> {
 fn get_f32(bytes: &mut &[u8]) -> Result<f32> {
     let b = take(bytes, 4)?;
     Ok(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+}
+
+fn get_f32s(bytes: &mut &[u8], n: usize) -> Result<Vec<f32>> {
+    (0..n).map(|_| get_f32(bytes)).collect()
 }
 
 /// Serializes a [`DataObject`]: `dim, k`, then per segment `weight` and
@@ -70,7 +74,7 @@ pub fn decode_object(mut bytes: &[u8]) -> Result<DataObject> {
     if !bytes.is_empty() {
         return Err(CoreError::Extraction("trailing object bytes".into()));
     }
-    DataObject::new(parts)
+    DataObject::from_normalized(parts)
 }
 
 /// Serializes a [`SketchedObject`]: `k`, then per segment `weight` and the
@@ -110,6 +114,58 @@ pub fn decode_sketched(mut bytes: &[u8]) -> Result<SketchedObject> {
     Ok(SketchedObject { weights, sketches })
 }
 
+/// Version of the [`encode_calibration`] layout; a record of any other
+/// version is rejected rather than guessed at.
+pub const CALIBRATION_FORMAT: u32 = 1;
+
+/// Serializes a store's sketch calibration: `format, seed, N, K, D`, then
+/// `D` minima, `D` maxima, a weights flag and (when set) `D` weights.
+/// Floats are stored by bit pattern, so a decoded record sketches exactly
+/// like the one encoded.
+pub fn encode_calibration(params: &SketchParams, seed: u64) -> Vec<u8> {
+    let dim = params.dim();
+    let mut out = CALIBRATION_FORMAT.to_le_bytes().to_vec();
+    out.extend_from_slice(&seed.to_le_bytes());
+    for n in [params.nbits, params.xor_folds, dim] {
+        out.extend_from_slice(&(n as u32).to_le_bytes());
+    }
+    let weights = params.dim_weights.as_deref();
+    out.push(u8::from(weights.is_some()));
+    for x in params
+        .mins
+        .iter()
+        .chain(&params.maxs)
+        .chain(weights.unwrap_or_default())
+    {
+        out.extend_from_slice(&x.to_le_bytes());
+    }
+    out
+}
+
+/// Deserializes [`encode_calibration`] bytes into the parameters and seed,
+/// validating the parameters as [`SketchParams::with_options`] does.
+pub fn decode_calibration(mut bytes: &[u8]) -> Result<(SketchParams, u64)> {
+    let format = get_u32(&mut bytes)?;
+    if format != CALIBRATION_FORMAT {
+        return Err(CoreError::Extraction(format!(
+            "unknown calibration format {format}"
+        )));
+    }
+    let seed = u64::from(get_u32(&mut bytes)?) | u64::from(get_u32(&mut bytes)?) << 32;
+    let nbits = get_u32(&mut bytes)? as usize;
+    let xor_folds = get_u32(&mut bytes)? as usize;
+    let dim = get_u32(&mut bytes)? as usize;
+    let weighted = take(&mut bytes, 1)?[0] != 0;
+    let mins = get_f32s(&mut bytes, dim)?;
+    let maxs = get_f32s(&mut bytes, dim)?;
+    let weights = weighted.then(|| get_f32s(&mut bytes, dim)).transpose()?;
+    if !bytes.is_empty() {
+        return Err(CoreError::Extraction("trailing calibration bytes".into()));
+    }
+    let params = SketchParams::with_options(nbits, xor_folds, mins, maxs, weights)?;
+    Ok((params, seed))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,10 +180,15 @@ mod tests {
 
     #[test]
     fn object_roundtrip() {
-        let o = obj();
-        let bytes = encode_object(&o);
-        let back = decode_object(&bytes).unwrap();
-        assert_eq!(o, back);
+        // Weights 0.4 : 0.8 : 0.3 normalize to 0.2 (as f32) and would move
+        // by an ulp if decoding normalized them again.
+        let v = || FeatureVector::new(vec![1.0, 2.0, 3.0]).unwrap();
+        let drifting = DataObject::new(vec![(v(), 0.4), (v(), 0.8), (v(), 0.3)]).unwrap();
+        for o in [obj(), drifting] {
+            let bytes = encode_object(&o);
+            let back = decode_object(&bytes).unwrap();
+            assert_eq!(o, back);
+        }
     }
 
     #[test]
@@ -171,5 +232,24 @@ mod tests {
         let mut extra = bytes.clone();
         extra.push(7);
         assert!(decode_sketched(&extra).is_err());
+    }
+
+    #[test]
+    fn calibration_rejects_garbage() {
+        let params = SketchParams::new(64, vec![0.0, -1.0], vec![1.0, 2.0]).unwrap();
+        let bytes = encode_calibration(&params, 7);
+        assert_eq!(decode_calibration(&bytes).unwrap(), (params, 7));
+        assert!(decode_calibration(&[]).is_err());
+        assert!(decode_calibration(&bytes[..bytes.len() - 1]).is_err());
+        let mut extra = bytes.clone();
+        extra.push(0);
+        assert!(decode_calibration(&extra).is_err());
+        let mut future = bytes.clone();
+        future[0] = 2;
+        assert!(decode_calibration(&future).is_err());
+        // Well-formed bytes, invalid parameters (N = 0).
+        let mut zero_bits = bytes;
+        zero_bits[12..16].copy_from_slice(&0u32.to_le_bytes());
+        assert!(decode_calibration(&zero_bits).is_err());
     }
 }

@@ -608,17 +608,30 @@ impl SearchEngine {
     }
 
     /// Records one ingest batch into the metrics registry: objects
-    /// sketched, the sketch-stage build timer, and the most recent
-    /// objects/sec ingest rate.
-    fn record_ingest_metrics(&self, objects: usize, elapsed: Duration) {
+    /// sketched, those outside the calibrated ranges, the sketch-stage
+    /// build timer, and the most recent objects/sec ingest rate.
+    fn record_ingest_metrics<'a>(
+        &self,
+        objects: impl ExactSizeIterator<Item = &'a DataObject>,
+        elapsed: Duration,
+    ) {
         let Some(registry) = &self.telemetry else {
             return;
         };
+        let objects_len = objects.len();
+        let params = self.builder.params();
+        let out_of_range = objects.filter(|o| !params.covers(o)).count();
         registry.inc_counter(
             "ferret_sketch_objects_total",
             "Objects sketched on the ingest path.",
             &[],
-            objects as u64,
+            objects_len as u64,
+        );
+        registry.inc_counter(
+            "ferret_sketch_out_of_range_total",
+            "Objects inserted with at least one component outside the calibrated sketch range.",
+            &[],
+            out_of_range as u64,
         );
         registry.observe_latency(
             "ferret_sketch_build_seconds",
@@ -634,7 +647,7 @@ impl SearchEngine {
                     "Ingest sketch-construction throughput of the most recent batch.",
                     &[],
                 )
-                .set((objects as f64 / secs) as i64);
+                .set((objects_len as f64 / secs) as i64);
         }
     }
 
@@ -692,6 +705,11 @@ impl SearchEngine {
             registry.counter(
                 "ferret_sketch_objects_total",
                 "Objects sketched on the ingest path.",
+                &[],
+            );
+            registry.counter(
+                "ferret_sketch_out_of_range_total",
+                "Objects inserted with at least one component outside the calibrated sketch range.",
                 &[],
             );
             registry.gauge(
@@ -763,7 +781,7 @@ impl SearchEngine {
         let clock = StageClock::start(self.telemetry.is_some());
         let sketched = self.builder.sketch_object(&object)?;
         if let Some(elapsed) = clock.elapsed() {
-            self.record_ingest_metrics(1, elapsed);
+            self.record_ingest_metrics(std::iter::once(&object), elapsed);
         }
         let segments = sketched.num_segments();
         let original = self.config.store_originals.then_some(object);
@@ -799,7 +817,7 @@ impl SearchEngine {
             self.builder.sketch_object(object)
         })?;
         if let Some(elapsed) = clock.elapsed() {
-            self.record_ingest_metrics(items.len(), elapsed);
+            self.record_ingest_metrics(items.iter().map(|(_, o)| o), elapsed);
         }
         for ((id, object), so) in items.into_iter().zip(sketched) {
             let segments = so.num_segments();

@@ -80,8 +80,8 @@ impl FilterParams {
 /// segments and objects compared against the query. The arena kernel
 /// ([`filter_candidates_arena`]) compares before it consults the predicate
 /// pushdown set, so for a restricted query they count every live segment
-/// and object, not only the allowed ones; [`filter_candidates`] and
-/// [`filter_candidates_sharded`] count what they were fed.
+/// and object, not only the allowed ones; [`filter_candidates`] counts
+/// what it was fed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FilterStats {
     /// Dataset segments whose sketches were compared against the query.
@@ -118,7 +118,7 @@ impl PartialOrd for HeapEntry {
 /// Admission compares full `(hamming, object id)` entries, a *total*
 /// order, so the kept set is the `k` smallest entries of everything
 /// offered — independent of the order entries arrive in. This is what
-/// makes sharded scans merge bit-identically with serial ones.
+/// makes the arena kernel's part-by-part walk equal the reference scan.
 fn admit(heap: &mut BinaryHeap<HeapEntry>, capacity: usize, entry: HeapEntry) {
     if heap.len() < capacity {
         heap.push(entry);
@@ -297,25 +297,6 @@ impl FilterScan {
         Ok(())
     }
 
-    /// Merges another scan of the *same query and parameters* into this
-    /// one, as if its observations had been fed to this scan directly.
-    ///
-    /// Sharded scans split the dataset into contiguous chunks, run one
-    /// scan per shard, then fold the shards together with this. Because
-    /// heap admission is a total order on `(hamming, object id)`, the
-    /// merged heaps (and hence the candidate set and every statistic)
-    /// are bit-identical to a serial scan of the whole dataset.
-    pub fn merge(&mut self, other: FilterScan) {
-        debug_assert_eq!(self.query_sketches.len(), other.query_sketches.len());
-        self.stats.objects_scanned += other.stats.objects_scanned;
-        self.stats.segments_scanned += other.stats.segments_scanned;
-        for (heap, other_heap) in self.heaps.iter_mut().zip(other.heaps) {
-            for entry in other_heap {
-                admit(heap, self.candidates_per_segment, entry);
-            }
-        }
-    }
-
     /// Ends the scan, returning the candidate set and statistics.
     pub fn finish(mut self) -> (HashSet<ObjectId>, FilterStats) {
         let mut candidates = HashSet::new();
@@ -407,38 +388,6 @@ where
         scan.observe(id, so)?;
     }
     Ok(scan.finish())
-}
-
-/// Sharded filtering scan: partitions `dataset` into contiguous chunks,
-/// runs an independent [`FilterScan`] per shard on scoped threads, and
-/// merges the per-shard heaps and statistics.
-///
-/// Results are bit-identical to [`filter_candidates`] over the same
-/// slice for every thread count (see [`FilterScan::merge`]). If several
-/// records fail, the error of the earliest record in slice order is
-/// returned, matching the serial scan. The engine serves from
-/// [`filter_candidates_arena`]; this per-object scan is its reference.
-pub fn filter_candidates_sharded(
-    query: &SketchedObject,
-    dataset: &[(ObjectId, &SketchedObject)],
-    params: &FilterParams,
-    threads: usize,
-) -> Result<(HashSet<ObjectId>, FilterStats)> {
-    if threads <= 1 || dataset.len() < 2 {
-        return filter_candidates(query, dataset.iter().map(|&(id, so)| (id, so)), params);
-    }
-    let shard_scans = crate::parallel::map_shards(threads, dataset.len(), |_, range| {
-        let mut scan = FilterScan::new(query, params)?;
-        for &(id, so) in &dataset[range] {
-            scan.observe(id, so)?;
-        }
-        Ok(scan)
-    });
-    let mut merged = FilterScan::new(query, params)?;
-    for scan in shard_scans {
-        merged.merge(scan?);
-    }
-    Ok(merged.finish())
 }
 
 #[cfg(test)]
@@ -610,36 +559,6 @@ mod tests {
             filter_candidates(&query, Vec::new(), &FilterParams::default()).unwrap();
         assert!(cands.is_empty());
         assert_eq!(stats.objects_scanned, 0);
-    }
-
-    #[test]
-    fn sharded_scan_matches_serial_for_any_thread_count() {
-        // A dataset with deliberate distance ties so tie-breaking matters.
-        let query = sketched(&[&s4(true, true, false, false)], &[1.0]);
-        let objects: Vec<SketchedObject> = (0..40)
-            .map(|i| {
-                let bits = s4(i % 2 == 0, true, i % 3 == 0, false);
-                sketched(&[&bits], &[1.0])
-            })
-            .collect();
-        let dataset: Vec<(ObjectId, &SketchedObject)> = objects
-            .iter()
-            .enumerate()
-            .map(|(i, so)| (ObjectId(i as u64), so))
-            .collect();
-        let p = FilterParams {
-            query_segments: 1,
-            candidates_per_segment: 7,
-            ..FilterParams::default()
-        };
-        let (serial, serial_stats) =
-            filter_candidates(&query, dataset.iter().copied(), &p).unwrap();
-        for threads in [1usize, 2, 3, 7, 64] {
-            let (sharded, stats) =
-                filter_candidates_sharded(&query, &dataset, &p, threads).unwrap();
-            assert_eq!(serial, sharded, "threads {threads}");
-            assert_eq!(serial_stats, stats, "threads {threads}");
-        }
     }
 
     #[test]

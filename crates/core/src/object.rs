@@ -45,6 +45,18 @@ pub struct DataObject {
 impl DataObject {
     /// Builds an object from `(vector, weight)` pairs, normalizing weights.
     pub fn new(parts: Vec<(FeatureVector, f32)>) -> Result<Self> {
+        Self::build(parts, true)
+    }
+
+    /// Rebuilds an object whose weights [`DataObject::new`] already
+    /// normalized (decoded from storage): validated, not normalized again.
+    /// A second normalization can move a weight by an ulp, and a restart
+    /// would then sketch and rank the object differently.
+    pub(crate) fn from_normalized(parts: Vec<(FeatureVector, f32)>) -> Result<Self> {
+        Self::build(parts, false)
+    }
+
+    fn build(parts: Vec<(FeatureVector, f32)>, normalize: bool) -> Result<Self> {
         if parts.is_empty() {
             return Err(CoreError::EmptyObject);
         }
@@ -67,11 +79,12 @@ impl DataObject {
         if sum <= 0.0 {
             return Err(CoreError::InvalidWeights("weights sum to zero".to_string()));
         }
+        let scale = if normalize { sum } else { 1.0 };
         let segments = parts
             .into_iter()
             .map(|(vector, weight)| Segment {
                 vector,
-                weight: (f64::from(weight) / sum) as f32,
+                weight: (f64::from(weight) / scale) as f32,
             })
             .collect();
         Ok(Self { segments, dim })

@@ -4,9 +4,8 @@
 //! ranking units must serve interactive single queries and bulk
 //! evaluation runs. This module provides the shared threading machinery
 //! both use — a [`Parallelism`] knob resolved to a concrete thread
-//! count, contiguous shard partitioning for scan-style work (the
-//! filtering unit), and a work-stealing chunked map for irregular
-//! per-item work (EMD ranking, sketch construction), built on
+//! count and a work-stealing chunked map for irregular per-item work
+//! (EMD ranking, sketch construction), built on
 //! [`std::thread::scope`] so borrowed data crosses into workers without
 //! `Arc` plumbing.
 //!
@@ -15,16 +14,12 @@
 //! Every parallel entry point in this crate produces results
 //! *bit-identical* to its serial counterpart, for any thread count:
 //!
-//! - sharded filtering merges per-shard k-NN heaps whose eviction order
-//!   is a total order on `(hamming, object id)`, so the kept set is
-//!   independent of scan order;
 //! - chunked maps reassemble outputs by item index before any
 //!   order-sensitive step (sorting, truncation) runs;
 //! - when several items fail, the error reported is the one at the
 //!   lowest item index, matching what a serial left-to-right loop
 //!   surfaces.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::error::Result;
@@ -94,61 +89,6 @@ impl std::str::FromStr for Parallelism {
             }
         }
     }
-}
-
-/// Splits `0..len` into at most `shards` contiguous, near-equal ranges.
-///
-/// The first `len % shards` ranges get one extra element; empty ranges
-/// are never produced.
-pub fn chunk_ranges(len: usize, shards: usize) -> Vec<Range<usize>> {
-    let shards = shards.clamp(1, len.max(1));
-    if len == 0 {
-        return Vec::new();
-    }
-    let base = len / shards;
-    let extra = len % shards;
-    let mut ranges = Vec::with_capacity(shards);
-    let mut start = 0;
-    for i in 0..shards {
-        let size = base + usize::from(i < extra);
-        ranges.push(start..start + size);
-        start += size;
-    }
-    ranges
-}
-
-/// Runs `work` once per shard of `0..len` on scoped worker threads and
-/// returns the shard results **in shard order**.
-///
-/// `work` receives `(shard_index, range)`. With one shard the work runs
-/// on the calling thread. Worker panics propagate to the caller.
-pub fn map_shards<T, F>(threads: usize, len: usize, work: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, Range<usize>) -> T + Sync,
-{
-    let ranges = chunk_ranges(len, threads);
-    if ranges.len() <= 1 {
-        return ranges
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| work(i, r))
-            .collect();
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
-                let work = &work;
-                scope.spawn(move || work(i, r))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    })
 }
 
 /// Items per claim of the work-stealing queue in [`try_map_chunked`].
@@ -287,42 +227,6 @@ mod tests {
                 matches!(bad.parse::<Parallelism>(), Err(CoreError::InvalidQuery(_))),
                 "{bad:?} should be rejected"
             );
-        }
-    }
-
-    #[test]
-    fn chunk_ranges_cover_exactly() {
-        for len in [0usize, 1, 2, 7, 64, 100] {
-            for shards in [1usize, 2, 3, 7, 200] {
-                let ranges = chunk_ranges(len, shards);
-                let total: usize = ranges.iter().map(|r| r.len()).sum();
-                assert_eq!(total, len, "len {len} shards {shards}");
-                assert!(ranges.iter().all(|r| !r.is_empty()));
-                let mut expect = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, expect);
-                    expect = r.end;
-                }
-                // Near-equal: sizes differ by at most one.
-                if let (Some(min), Some(max)) = (
-                    ranges.iter().map(|r| r.len()).min(),
-                    ranges.iter().map(|r| r.len()).max(),
-                ) {
-                    assert!(max - min <= 1);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn map_shards_returns_in_shard_order() {
-        for threads in [1usize, 2, 3, 8] {
-            let out = map_shards(threads, 10, |shard, range| (shard, range));
-            for (i, (shard, _)) in out.iter().enumerate() {
-                assert_eq!(*shard, i);
-            }
-            let total: usize = out.iter().map(|(_, r)| r.len()).sum();
-            assert_eq!(total, 10);
         }
     }
 

@@ -81,12 +81,13 @@ pub const SERIES: &[SeriesDef] = series![
     "ferret_query_seconds", HL, "End-to-end query latency, by mode.";
     "ferret_query_segments_scanned_total", C, "Segment sketches compared in the filtering stage.";
     "ferret_query_stage_seconds", HL, "Per-stage query latency, by stage.";
-    "ferret_recovery_seconds", GD, "Wall time of each stage of the last cold start (db_open, decode, sketch_index, attrs, importer_state, initial_scan, retune).";
+    "ferret_recovery_seconds", GD, "Wall time of each stage of the last cold start (db_open, decode, sketch_index, attrs, importer_state, initial_scan).";
     "ferret_rejected_total", C, "Queries rejected by admission control.";
     "ferret_segments", G, "Immutable sealed segments in the engine.";
     "ferret_sketch_build_seconds", HL, "Sketch-construction latency per ingest batch.";
     "ferret_sketch_objects_per_sec", G, "Ingest sketch-construction throughput of the most recent batch.";
     "ferret_sketch_objects_total", C, "Objects sketched on the ingest path.";
+    "ferret_sketch_out_of_range_total", C, "Objects inserted with at least one component outside the calibrated sketch range.";
     "ferret_store_errors_total", C, "Store-layer failures surfaced by the service, by operation.";
 ];
 

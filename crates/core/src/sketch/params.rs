@@ -150,6 +150,21 @@ impl SketchParams {
         self.mins.len()
     }
 
+    /// True when every component of every segment of `object` lies within
+    /// its dimension's `[min, max]`. Thresholds are drawn from that range,
+    /// so a component outside it lands on the same side of every threshold
+    /// as the nearer bound does.
+    pub fn covers(&self, object: &DataObject) -> bool {
+        object.segments().iter().all(|s| {
+            let ranges = self.mins.iter().zip(&self.maxs);
+            s.vector
+                .components()
+                .iter()
+                .zip(ranges)
+                .all(|(c, (lo, hi))| (lo..=hi).contains(&c))
+        })
+    }
+
     /// The sampling probability of each dimension:
     /// `p_i ∝ w_i · (max_i − min_i)`, normalized to sum to 1 (Algorithm 1).
     pub fn dimension_probabilities(&self) -> Vec<f64> {

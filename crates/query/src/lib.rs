@@ -45,6 +45,6 @@ pub use protocol::{
 };
 pub use server::{Client, ServeConfig, Server};
 pub use service::{
-    FerretService, RecoveryReport, Response, ServiceBuilder, ServiceError, DEFAULT_TRACE_CAPACITY,
-    FEATURES_TABLE,
+    FerretService, RecoveryReport, Response, ServiceBuilder, ServiceError, CALIBRATION_KEY,
+    CALIBRATION_TABLE, DEFAULT_TRACE_CAPACITY, FEATURES_TABLE,
 };

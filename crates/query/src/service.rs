@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use ferret_attr::{AttrStore, Attributes};
-use ferret_core::codec::{decode_object, encode_object};
+use ferret_core::codec::{decode_calibration, decode_object, encode_calibration, encode_object};
 use ferret_core::engine::{
     similarity_from_distance, EngineBuilder, EngineConfig, FusionMode, QueryOptions, QueryResponse,
     SearchEngine,
@@ -24,7 +24,6 @@ use ferret_core::error::CoreError;
 use ferret_core::object::{DataObject, ObjectId};
 use ferret_core::parallel::Parallelism;
 use ferret_core::segment::IndexLayout;
-use ferret_core::sketch::SketchParams;
 use ferret_core::telemetry::{MetricsRegistry, QueryTrace, Unit, SIZE_BUCKETS};
 use ferret_store::{Database, DbOptions, SegmentStore, StoreError, Vfs};
 
@@ -36,6 +35,14 @@ pub use crate::protocol::Response;
 
 /// The table original feature-vector metadata lives in.
 pub const FEATURES_TABLE: &str = "features";
+
+/// The table holding the store's one sketch calibration record (sketch
+/// parameters, seed and format version; `ferret_core::codec::
+/// encode_calibration`), under [`CALIBRATION_KEY`].
+pub const CALIBRATION_TABLE: &str = "calibration";
+
+/// The key of the calibration record in [`CALIBRATION_TABLE`].
+pub const CALIBRATION_KEY: &[u8] = b"sketch";
 
 /// Errors surfaced by the service.
 #[derive(Debug)]
@@ -119,17 +126,10 @@ impl TraceRing {
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
     /// `(stage, wall time)` in execution order. [`ServiceBuilder::open`]
-    /// records `db_open`, `decode`, `sketch_index` and `attrs`;
-    /// [`FerretService::retune_sketches`] records `retune`; the caller adds
-    /// its own (importer state, initial scan) through
+    /// records `db_open`, `decode`, `sketch_index` and `attrs`; the caller
+    /// adds its own (importer state, initial scan) through
     /// [`FerretService::record_recovery_stage`].
     pub stages: Vec<(&'static str, Duration)>,
-    /// Bulk sketch-and-index passes over a non-empty corpus: 1 when the
-    /// opened corpus was already tuned, 2 when a retune had to rebuild it.
-    pub engine_builds: u32,
-    /// Why [`ServiceBuilder::derive_sketch_ranges`] kept the configured
-    /// ranges instead, when it did.
-    pub derive_error: Option<String>,
 }
 
 fn publish_recovery_stage(registry: &MetricsRegistry, stage: &str, wall: Duration) {
@@ -166,7 +166,6 @@ pub struct ServiceBuilder {
     parallelism: Option<Parallelism>,
     trace_capacity: usize,
     cache_capacity: usize,
-    derive_sketch_ranges: bool,
 }
 
 impl ServiceBuilder {
@@ -180,23 +179,7 @@ impl ServiceBuilder {
             parallelism: None,
             trace_capacity: DEFAULT_TRACE_CAPACITY,
             cache_capacity: 0,
-            derive_sketch_ranges: false,
         }
-    }
-
-    /// On [`ServiceBuilder::open`], replaces the configured per-dimension
-    /// sketch ranges with ranges derived from the recovered feature
-    /// vectors (keeping the configured `nbits`, `xor_folds` and seed)
-    /// *before* the engine is built, so the corpus is sketched and indexed
-    /// once with the parameters [`FerretService::retune_sketches`] would
-    /// arrive at — opening this way equals a plain open followed by a
-    /// retune, at half the work and without a second engine. When nothing
-    /// can be derived (empty store, sketch-only engine, no valid range)
-    /// the configured ranges stand and
-    /// [`RecoveryReport::derive_error`] says why.
-    pub fn derive_sketch_ranges(mut self) -> Self {
-        self.derive_sketch_ranges = true;
-        self
     }
 
     /// Metadata-store options used when the service is opened
@@ -253,6 +236,7 @@ impl ServiceBuilder {
             attrs,
             db,
             recovery,
+            calibrated: false,
             telemetry: None,
             traces: Mutex::new(TraceRing::new(self.trace_capacity)),
             cache: ResultCache::new(self.cache_capacity),
@@ -275,6 +259,11 @@ impl ServiceBuilder {
     /// Opens (or creates) a persistent service in `dir`, recovering all
     /// objects and attributes and rebuilding sketches deterministically.
     /// Uses the configured [`Vfs`] when one was set.
+    ///
+    /// A store's sketch calibration record, when it has one, supplies the
+    /// sketch parameters and seed; the configured ones serve only a store
+    /// without a record. A record of another dimensionality than the
+    /// configuration is a [`CoreError::DimensionMismatch`].
     pub fn open(self, dir: &std::path::Path) -> Result<FerretService, ServiceError> {
         let mut stages = Vec::new();
         let mut clock = Instant::now();
@@ -288,6 +277,21 @@ impl ServiceBuilder {
             None => Database::open_with(dir, self.db_options)?,
         };
         stage("db_open");
+        let mut config = self.config.clone();
+        let calibration = db.get(CALIBRATION_TABLE, CALIBRATION_KEY);
+        if let Some(bytes) = calibration {
+            let (params, seed) = decode_calibration(bytes)
+                .map_err(|e| StoreError::Corrupt(format!("sketch calibration record: {e}")))?;
+            if params.dim() != config.sketch.dim() {
+                return Err(ServiceError::Core(CoreError::DimensionMismatch {
+                    expected: config.sketch.dim(),
+                    actual: params.dim(),
+                }));
+            }
+            config.sketch = params;
+            config.seed = seed;
+        }
+        let calibrated = calibration.is_some();
         let mut recovered = Vec::with_capacity(db.table_len(FEATURES_TABLE));
         for (key, value) in db.iter_table(FEATURES_TABLE) {
             let id = match <[u8; 8]>::try_from(key) {
@@ -302,16 +306,9 @@ impl ServiceBuilder {
             recovered.push((id, obj));
         }
         stage("decode");
-        let mut config = self.config.clone();
-        let mut derive_error = None;
-        if self.derive_sketch_ranges && !recovered.is_empty() {
-            match derive_ranges(&config, &recovered) {
-                Ok(params) => config.sketch = params,
-                Err(e) => derive_error = Some(e.to_string()),
-            }
-        }
-        let mut engine = EngineBuilder::from_config(config).build()?;
-        let engine_builds = u32::from(!recovered.is_empty());
+        let mut engine = EngineBuilder::from_config(config)
+            .telemetry(self.telemetry.clone())
+            .build()?;
         // Sketch construction dominates recovery time, so the whole recovered
         // set goes through the batch-parallel insert path.
         engine.insert_batch(recovered)?;
@@ -329,41 +326,10 @@ impl ServiceBuilder {
         stage("sketch_index");
         let attrs = AttrStore::load(&db)?;
         stage("attrs");
-        let recovery = RecoveryReport {
-            stages,
-            engine_builds,
-            derive_error,
-        };
-        Ok(self.finish(engine, attrs, Some(db), recovery))
+        let mut svc = self.finish(engine, attrs, Some(db), RecoveryReport { stages });
+        svc.calibrated = calibrated;
+        Ok(svc)
     }
-}
-
-/// The sketch parameters a retune would derive from `objects`, under the
-/// configuration's `nbits` and `xor_folds`.
-fn derive_ranges(
-    config: &EngineConfig,
-    objects: &[(ObjectId, DataObject)],
-) -> Result<SketchParams, CoreError> {
-    if !config.store_originals {
-        // A later retune could not re-derive them, so opening this way
-        // would no longer equal open + retune.
-        return Err(CoreError::InvalidQuery(
-            "engine is sketch-only; cannot derive parameters".into(),
-        ));
-    }
-    let params = SketchParams::from_objects(
-        config.sketch.nbits,
-        config.sketch.xor_folds,
-        objects.iter().map(|(_, o)| o),
-    )?;
-    if params.dim() != config.sketch.dim() {
-        // Leave the mismatch to the insert below, which names it.
-        return Err(CoreError::DimensionMismatch {
-            expected: config.sketch.dim(),
-            actual: params.dim(),
-        });
-    }
-    Ok(params)
 }
 
 /// The composed search service.
@@ -372,6 +338,9 @@ pub struct FerretService {
     attrs: AttrStore,
     db: Option<Database>,
     recovery: RecoveryReport,
+    /// True once the sketch parameters come from a calibration: the
+    /// store's record at open, or a [`FerretService::retune_sketches`].
+    calibrated: bool,
     telemetry: Option<Arc<MetricsRegistry>>,
     /// Recent query traces. Behind a mutex so the `&self` read path can
     /// record traces from many threads at once.
@@ -443,13 +412,17 @@ impl FerretService {
         &self.recovery
     }
 
-    /// Sets a stage of the recovery report — the caller's own (importer
-    /// state, initial scan) or a repeat of one already recorded.
+    /// True when the engine's sketch parameters come from a calibration
+    /// (the store's record, or [`FerretService::retune_sketches`]) rather
+    /// than from the configuration.
+    pub fn calibrated(&self) -> bool {
+        self.calibrated
+    }
+
+    /// Appends the caller's own stage (importer state, initial scan) to
+    /// the recovery report.
     pub fn record_recovery_stage(&mut self, stage: &'static str, wall: Duration) {
-        match self.recovery.stages.iter_mut().find(|(s, _)| *s == stage) {
-            Some(slot) => slot.1 = wall,
-            None => self.recovery.stages.push((stage, wall)),
-        }
+        self.recovery.stages.push((stage, wall));
         if let Some(reg) = &self.telemetry {
             publish_recovery_stage(reg, stage, wall);
         }
@@ -695,13 +668,13 @@ impl FerretService {
         Ok(present)
     }
 
-    /// Brings the index to the sketch parameters derived from the stored
-    /// data (per-dimension min/max) under `nbits`/`xor_folds`/`seed`. When
-    /// the engine already has exactly those — it was opened with
-    /// [`ServiceBuilder::derive_sketch_ranges`] and nothing since widened
-    /// a range — nothing is rebuilt; otherwise every object is re-sketched
-    /// in place ([`SearchEngine::retune`]). No-op on an empty index. The
-    /// paper's evaluation tool exists exactly for this tuning loop (§4.3).
+    /// Calibrates the sketches: derives per-dimension ranges from the
+    /// stored objects under `nbits`/`xor_folds`, commits them with `seed`
+    /// as the store's calibration record (persistent services), then
+    /// re-sketches every object in place ([`SearchEngine::retune`]). This
+    /// is the paper's parameter-tuning loop (§4.3); nothing else derives
+    /// parameters. A failed derive (empty or sketch-only engine) leaves
+    /// the engine and the record untouched.
     pub fn retune_sketches(
         &mut self,
         nbits: usize,
@@ -709,27 +682,21 @@ impl FerretService {
         seed: u64,
     ) -> Result<(), ServiceError> {
         self.cache.bump_epoch();
-        let start = Instant::now();
-        let outcome = self.retune_if_stale(nbits, xor_folds, seed);
-        self.record_recovery_stage("retune", start.elapsed());
-        outcome
-    }
-
-    fn retune_if_stale(
-        &mut self,
-        nbits: usize,
-        xor_folds: usize,
-        seed: u64,
-    ) -> Result<(), ServiceError> {
-        if self.engine.is_empty() {
-            return Ok(());
-        }
         let params = self.engine.derive_sketch_params(nbits, xor_folds)?;
-        if params == *self.engine.sketch_builder().params() && seed == self.engine.config().seed {
-            return Ok(());
+        if let Some(db) = self.db.as_mut() {
+            let mut txn = db.begin();
+            txn.put(
+                CALIBRATION_TABLE,
+                CALIBRATION_KEY,
+                &encode_calibration(&params, seed),
+            );
+            if let Err(e) = txn.commit() {
+                self.record_store_error("retune");
+                return Err(e.into());
+            }
         }
+        self.calibrated = true;
         self.engine.retune(params, seed)?;
-        self.recovery.engine_builds += 1;
         self.publish_memory();
         Ok(())
     }

@@ -89,11 +89,9 @@ for _ in $(seq 1 50); do
     sleep 0.2
 done
 [ -n "$HTTP_ADDR" ] || { echo "serve never printed its http address"; cat "$SMOKE_DIR/serve.log"; exit 1; }
-# Cold start sketches the corpus once: here the one build is the retune
-# after the initial scan filled the empty store (on a restart it would be
-# the open, and the retune a comparison).
-grep -q '^recovery: .*; engine builds: 1$' "$SMOKE_DIR/serve.log" \
-    || { echo "start-up line missing or not a single engine build:"; cat "$SMOKE_DIR/serve.log"; exit 1; }
+# A fresh store is calibrated once, after the initial scan filled it.
+grep -q '^sketch calibration: N=128 K=2 (derived from 2 objects)$' "$SMOKE_DIR/serve.log" \
+    || { echo "fresh store not calibrated from its objects:"; cat "$SMOKE_DIR/serve.log"; exit 1; }
 # Fetch without curl: bash's /dev/tcp. Raw socket reads can come back
 # truncated under load, so verify the body against Content-Length and
 # retry a few times before giving up (and accept the possibly-short
@@ -163,7 +161,7 @@ for series in ferret_inflight_queries ferret_inflight_queries_peak ferret_reject
 done
 # The recovery and memory accounts are published at start-up, one series
 # per stage and per component.
-for series in 'ferret_recovery_seconds{stage="sketch_index"}' 'ferret_recovery_seconds{stage="retune"}' \
+for series in 'ferret_recovery_seconds{stage="sketch_index"}' 'ferret_sketch_out_of_range_total' \
               'ferret_memory_bytes{component="originals"}' 'ferret_memory_bytes{component="attr"}' \
               'ferret_memory_bytes{component="importer"}'; do
     echo "$METRICS" | grep -qF "$series" \
@@ -204,10 +202,21 @@ echo "$METRICS" | grep "^ferret_fusion_queries_total" | grep -q 'mode="rrf"' \
     || { echo "/metrics missing rrf-labelled ferret_fusion_queries_total:"; echo "$METRICS" | grep '^ferret_fusion'; exit 1; }
 echo "smoke OK: /metrics served $(echo "$METRICS" | grep -c '^ferret_') ferret series"
 
-echo "==> smoke: default serve — arena scan, six-field /stat"
-# Every flag at its default: filter-mode searches run the arena scan, and
+echo "==> calibration: explicit retune, stored record on restart, bad parameters"
+wait "$SERVE_PID" 2>/dev/null || true
+target/release/ferret retune --db "$SMOKE_DIR/db" --dim 2 --bits 64 > "$SMOKE_DIR/retune.log" 2>&1 \
+    || { echo "ferret retune failed:"; cat "$SMOKE_DIR/retune.log"; exit 1; }
+STATUS=0
+target/release/ferret import --db "$SMOKE_DIR/db-bad" --watch "$SMOKE_DIR/watch" --dim 2 \
+    --bits 0 > "$SMOKE_DIR/bad.log" 2>&1 || STATUS=$?
+[ "$STATUS" -eq 2 ] || { echo "import --bits 0 exited $STATUS, not 2:"; cat "$SMOKE_DIR/bad.log"; exit 1; }
+echo "calibration OK: retune exited 0, --bits 0 exited 2"
+
+echo "==> smoke: default serve restart — stored calibration, arena scan, six-field /stat"
+# Every flag at its default, on the store retuned above: the open uses the
+# stored record (not --bits), filter-mode searches run the arena scan, and
 # /stat reports no index_bytes (there is no filter index to size).
-target/release/ferret serve --db "$SMOKE_DIR/db0" --watch "$SMOKE_DIR/watch" --dim 2 \
+target/release/ferret serve --db "$SMOKE_DIR/db" --watch "$SMOKE_DIR/watch" --dim 2 \
     --tcp 127.0.0.1:0 --http 127.0.0.1:0 > "$SMOKE_DIR/serve0.log" 2>&1 &
 SERVE_PID=$!
 HTTP_ADDR=""
@@ -218,6 +227,8 @@ for _ in $(seq 1 50); do
     sleep 0.2
 done
 [ -n "$HTTP_ADDR" ] || { echo "default serve never printed its http address"; cat "$SMOKE_DIR/serve0.log"; exit 1; }
+grep -q '^sketch calibration: N=64 K=2 (stored record)$' "$SMOKE_DIR/serve0.log" \
+    || { echo "restart did not serve the stored calibration:"; cat "$SMOKE_DIR/serve0.log"; exit 1; }
 http_get "/search?id=0&k=2&mode=filter" | grep -q '"results":\[{"id":' \
     || { echo "default filter-mode /search failed"; exit 1; }
 STAT="$(http_get /stat)"

@@ -5,6 +5,7 @@
 //! ferret serve  --db <dir> --watch <dir> --dim <D> [--bits N] [--tcp addr]
 //!               [--http addr] [--scan-interval secs]
 //! ferret import --db <dir> --watch <dir> --dim <D> [--bits N]
+//! ferret retune --db <dir> --dim <D> [--bits N] [--k K]
 //! ferret query  --addr <host:port> <protocol command ...>
 //! ```
 //!
@@ -12,6 +13,10 @@
 //! segment per line) dropped into the watch directory; `serve` runs the
 //! acquisition loop, the TCP command protocol, and the web interface over
 //! a persistent metadata store.
+//!
+//! A store is calibrated once, by the first `import` or `serve` that finds
+//! it non-empty and without a calibration record; every later open
+//! sketches with that record, and only `retune` replaces it.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -22,6 +27,7 @@ use parking_lot::RwLock;
 use ferret::acquire::{ImportSink, Importer};
 use ferret::attr::Attributes;
 use ferret::core::engine::EngineConfig;
+use ferret::core::error::CoreError;
 use ferret::core::object::{DataObject, ObjectId};
 use ferret::core::parallel::Parallelism;
 use ferret::core::segment::IndexLayout;
@@ -33,8 +39,8 @@ use ferret::query::{
 };
 use ferret::store::DbOptions;
 
-/// Seed of the sketch construction unit's random `(i, t)` pairs, the same
-/// at open and at retune so an already-tuned store is recognised as such.
+/// Seed of the sketch construction unit's random `(i, t)` pairs, stored
+/// with every calibration this binary makes.
 const ENGINE_SEED: u64 = 0xFE44E7;
 
 struct Options {
@@ -60,7 +66,7 @@ struct Options {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  ferret serve  --db <dir> --watch <dir> --dim <D> [--bits N] [--k K]\n                [--tcp addr] [--http addr] [--scan-interval secs]\n                [--threads N|auto|serial] [--workers N] [--max-inflight N]\n                [--cache-capacity N] [--no-telemetry]\n                [--index-layout monolithic|segmented]\n                [--memtable-size N] [--compaction on|off]\n  ferret import --db <dir> --watch <dir> --dim <D> [--bits N] [--k K]\n                [--threads N|auto|serial]\n  ferret query  --addr <host:port> <command ...>"
+        "usage:\n  ferret serve  --db <dir> --watch <dir> --dim <D> [--bits N] [--k K]\n                [--tcp addr] [--http addr] [--scan-interval secs]\n                [--threads N|auto|serial] [--workers N] [--max-inflight N]\n                [--cache-capacity N] [--no-telemetry]\n                [--index-layout monolithic|segmented]\n                [--memtable-size N] [--compaction on|off]\n  ferret import --db <dir> --watch <dir> --dim <D> [--bits N] [--k K]\n                [--threads N|auto|serial]\n  ferret retune --db <dir> --dim <D> [--bits N] [--k K]\n  ferret query  --addr <host:port> <command ...>"
     );
     std::process::exit(2);
 }
@@ -228,9 +234,8 @@ fn open_service(opts: &Options) -> FerretService {
         eprintln!("error: --dim is required (dimensionality of the .fvec vectors)");
         std::process::exit(2);
     }
-    // Generic vectors: ranges are unknown up front; use a wide symmetric
-    // range for an empty store. A populated one is sketched once, with
-    // ranges derived from its own vectors (`derive_sketch_ranges`).
+    // Generic vectors: ranges are unknown up front, so a store without a
+    // calibration record is sketched under a wide symmetric range.
     let params = SketchParams::with_options(
         opts.bits,
         opts.xor_folds,
@@ -238,7 +243,10 @@ fn open_service(opts: &Options) -> FerretService {
         vec![1000.0; opts.dim],
         None,
     )
-    .expect("valid sketch parameters");
+    .unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     let mut config = EngineConfig::basic(params, ENGINE_SEED);
     config.parallelism = opts.threads;
     config.index_layout = opts.index_layout;
@@ -247,20 +255,45 @@ fn open_service(opts: &Options) -> FerretService {
     let built = FerretService::builder(config)
         .db_options(DbOptions::default())
         .cache_capacity(opts.cache_capacity)
-        .derive_sketch_ranges()
         .open(&db);
-    match built {
-        Ok(svc) => {
-            if let Some(e) = &svc.recovery().derive_error {
-                eprintln!("warning: sketch retuning failed: {e}");
-            }
-            svc
+    built.unwrap_or_else(|e| {
+        match e {
+            ServiceError::Core(CoreError::DimensionMismatch { expected, actual }) => eprintln!(
+                "error: --dim {expected} does not match the dimensionality {actual} \
+                 stored in {}",
+                db.display()
+            ),
+            e => eprintln!("error: cannot open database {}: {e}", db.display()),
         }
-        Err(e) => {
-            eprintln!("error: cannot open database {}: {e}", db.display());
+        std::process::exit(1);
+    })
+}
+
+/// Calibrates the store when `retune` is set, or when it has no
+/// calibration record yet and is non-empty (a fresh store after its first
+/// scan, or one written before records existed), and makes the record
+/// durable; exits 1 when that fails. Prints the effective N/K and where
+/// they came from.
+fn calibrate(service: &mut FerretService, opts: &Options, retune: bool) {
+    let source = if !retune && service.calibrated() {
+        "stored record".to_string()
+    } else if !retune && service.engine().is_empty() {
+        "configured; the store is empty".to_string()
+    } else {
+        let retuned = service
+            .retune_sketches(opts.bits, opts.xor_folds, ENGINE_SEED)
+            .and_then(|()| service.flush());
+        if let Err(e) = retuned {
+            eprintln!("error: sketch calibration failed: {e}");
             std::process::exit(1);
         }
-    }
+        format!("derived from {} objects", service.engine().len())
+    };
+    let params = service.engine().sketch_builder().params();
+    println!(
+        "sketch calibration: N={} K={} ({source})",
+        params.nbits, params.xor_folds
+    );
 }
 
 /// Restores importer state (manifest + path → id table) from the
@@ -336,6 +369,11 @@ fn cmd_import(opts: &Options) {
         changed,
         service.engine().len()
     );
+    calibrate(&mut service, opts, false);
+}
+
+fn cmd_retune(opts: &Options) {
+    calibrate(&mut open_service(opts), opts, true);
 }
 
 fn cmd_serve(opts: &Options) {
@@ -352,28 +390,14 @@ fn cmd_serve(opts: &Options) {
         changed,
         service.engine().len()
     );
-    // Objects the scan added were sketched under ranges derived without
-    // them (or the wide ones, on a fresh store); re-derive, which rebuilds
-    // only if that moved a range.
-    if let Err(e) = service.retune_sketches(opts.bits, opts.xor_folds, ENGINE_SEED) {
-        eprintln!("warning: sketch retuning failed: {e}");
-    } else if !service.engine().is_empty() {
-        println!(
-            "sketch parameters derived from {} objects",
-            service.engine().len()
-        );
-    }
+    calibrate(&mut service, opts, false);
     let stages: Vec<String> = service
         .recovery()
         .stages
         .iter()
         .map(|(stage, wall)| format!("{stage} {:.3}s", wall.as_secs_f64()))
         .collect();
-    println!(
-        "recovery: {}; engine builds: {}",
-        stages.join(", "),
-        service.recovery().engine_builds
-    );
+    println!("recovery: {}", stages.join(", "));
     let registry = opts.telemetry.then(|| Arc::new(MetricsRegistry::new()));
     if let Some(reg) = &registry {
         service.enable_telemetry(Arc::clone(reg));
@@ -491,6 +515,7 @@ fn main() {
     match subcommand.as_str() {
         "serve" => cmd_serve(&opts),
         "import" => cmd_import(&opts),
+        "retune" => cmd_retune(&opts),
         "query" => cmd_query(&opts),
         _ => usage(),
     }

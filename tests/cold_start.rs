@@ -1,8 +1,8 @@
-//! The recovery contract (DESIGN.md "Recovery path and memory account"):
-//! opening a store with `derive_sketch_ranges` builds the engine once and
-//! yields exactly the engine a plain open followed by `retune_sketches`
-//! yields — same stored sketches, same protocol replies — and a retune of
-//! an already-tuned service derives, compares and builds nothing.
+//! The calibration contract (DESIGN.md "Recovery path and memory account"):
+//! a store's sketch parameters and seed are one stored record, written
+//! only by `retune_sketches` and read by every open, so a restart serves
+//! exactly what the process before it served — same parameters, same
+//! stored sketches, same replies — whatever was inserted in between.
 
 // Test fixtures are written directly; the Vfs seam covers production
 // durability, not harness artifacts.
@@ -13,15 +13,18 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use ferret::core::codec::encode_object;
+use ferret::core::codec::{decode_calibration, encode_calibration, encode_object};
 use ferret::core::engine::EngineConfig;
+use ferret::core::error::CoreError;
 use ferret::core::object::{DataObject, ObjectId};
 use ferret::core::parallel::Parallelism;
 use ferret::core::segment::IndexLayout;
 use ferret::core::sketch::SketchParams;
 use ferret::core::telemetry::MetricsRegistry;
 use ferret::core::vector::FeatureVector;
-use ferret::query::{FerretService, ServiceBuilder, FEATURES_TABLE};
+use ferret::query::{
+    FerretService, ServiceBuilder, ServiceError, CALIBRATION_KEY, CALIBRATION_TABLE, FEATURES_TABLE,
+};
 use ferret::store::{Database, DbOptions, Durability};
 
 const DIM: usize = 3;
@@ -58,16 +61,6 @@ fn wide(layout: IndexLayout) -> ServiceBuilder {
     config.memtable_size = 4;
     config.compaction = false;
     FerretService::builder(config).db_options(db_opts())
-}
-
-fn open_then_retune(dir: &Path, layout: IndexLayout) -> FerretService {
-    let mut svc = wide(layout).open(dir).unwrap();
-    svc.retune_sketches(NBITS, XOR_FOLDS, SEED).unwrap();
-    svc
-}
-
-fn open_tuned(dir: &Path, layout: IndexLayout) -> FerretService {
-    wide(layout).derive_sketch_ranges().open(dir).unwrap()
 }
 
 /// Everything the contract compares: insertion order first, then — by
@@ -125,32 +118,69 @@ fn corpus_strategy() -> impl Strategy<Value = Vec<(ObjectId, DataObject)>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    /// A reopen sketches under the stored calibration: re-deriving would
+    /// let the widening object move a range, and every sketch with it.
     #[test]
-    fn single_pass_open_equals_wide_open_plus_retune(
+    fn a_range_widening_insert_answers_the_same_after_a_restart(
         corpus in corpus_strategy(),
         layout_idx in 0usize..2,
+        widen in 4.5f32..10.0,
     ) {
         let layout = [IndexLayout::Monolithic, IndexLayout::Segmented][layout_idx];
-        let dir = tmpdir(&format!("equiv-{layout_idx}"));
-        {
+        let dir = tmpdir(&format!("restart-{layout_idx}"));
+        let seen = {
             let mut svc = wide(layout).open(&dir).unwrap();
             let items = corpus.iter().map(|(id, o)| (*id, o.clone(), None)).collect();
             svc.insert_batch(items).unwrap();
-        }
-        let two_pass = {
-            let mut svc = open_then_retune(&dir, layout);
-            prop_assert_eq!(svc.recovery().engine_builds, 2);
+            svc.retune_sketches(NBITS, XOR_FOLDS, SEED).unwrap();
+            // Outside every corpus range in the first dimension.
+            svc.insert(ObjectId(5000), point(widen), None).unwrap();
+            // Dropped without a flush: Sync durability already made every
+            // commit durable.
             observe(&mut svc)
         };
-        let mut tuned = open_tuned(&dir, layout);
-        prop_assert_eq!(tuned.recovery().engine_builds, 1);
-        prop_assert!(tuned.recovery().derive_error.is_none());
-        prop_assert_eq!(&observe(&mut tuned), &two_pass, "{:?}", layout);
-        // The retune `ferret serve` still issues finds nothing to do.
-        tuned.retune_sketches(NBITS, XOR_FOLDS, SEED).unwrap();
-        prop_assert_eq!(tuned.recovery().engine_builds, 1);
-        prop_assert_eq!(&observe(&mut tuned), &two_pass);
+        let mut reopened = wide(layout).open(&dir).unwrap();
+        prop_assert!(reopened.calibrated());
+        // Recovery order is key order, not the order this process
+        // inserted in; everything after it must agree.
+        prop_assert_eq!(&observe(&mut reopened)[1..], &seen[1..], "{:?}", layout);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_calibration_record_round_trips_bit_exactly(
+        bounds in prop::collection::vec((any::<u32>(), any::<u32>(), any::<u32>()), 1..8),
+        weighted in any::<bool>(),
+        nbits in 1usize..1024,
+        xor_folds in 1usize..5,
+        seed in any::<u64>(),
+    ) {
+        // Every finite bit pattern, subnormals and -0.0 included.
+        let finite = |bits: u32| {
+            let x = f32::from_bits(bits);
+            if x.is_finite() { x } else { f32::from_bits(bits & 0x807F_FFFF) }
+        };
+        let (mut mins, mut maxs, mut weights) = (Vec::new(), Vec::new(), Vec::new());
+        for (a, b, w) in &bounds {
+            let (a, b) = (finite(*a), finite(*b));
+            mins.push(a.min(b));
+            maxs.push(a.max(b));
+            weights.push(finite(*w).abs());
+        }
+        let weights = weighted.then_some(weights);
+        let Ok(params) = SketchParams::with_options(nbits, xor_folds, mins, maxs, weights) else {
+            continue;
+        };
+        let (back, back_seed) = decode_calibration(&encode_calibration(&params, seed)).unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(back_seed, seed);
+        prop_assert_eq!((back.nbits, back.xor_folds), (nbits, xor_folds));
+        prop_assert_eq!(bits(&back.mins), bits(&params.mins));
+        prop_assert_eq!(bits(&back.maxs), bits(&params.maxs));
+        prop_assert_eq!(
+            back.dim_weights.as_deref().map(bits),
+            params.dim_weights.as_deref().map(bits)
+        );
     }
 }
 
@@ -162,56 +192,6 @@ fn sketched_total(registry: &MetricsRegistry) -> u64 {
     registry
         .counter_value("ferret_sketch_objects_total", &[])
         .unwrap()
-}
-
-#[test]
-fn retune_of_a_tuned_service_builds_nothing_until_a_range_widens() {
-    for layout in [IndexLayout::Monolithic, IndexLayout::Segmented] {
-        let dir = tmpdir(&format!("idempotent-{layout}"));
-        {
-            let mut svc = wide(layout).open(&dir).unwrap();
-            let items = (0..10u64)
-                .map(|i| (ObjectId(300 + i), point(i as f32 / 10.0), None))
-                .collect();
-            svc.insert_batch(items).unwrap();
-        }
-        let mut svc = open_tuned(&dir, layout);
-        let registry = Arc::new(MetricsRegistry::new());
-        svc.enable_telemetry(Arc::clone(&registry));
-        let (epoch, sketched) = (svc.cache_epoch(), sketched_total(&registry));
-
-        svc.retune_sketches(NBITS, XOR_FOLDS, SEED).unwrap();
-        assert_eq!(sketched_total(&registry), sketched, "no object re-sketched");
-        assert_eq!(svc.recovery().engine_builds, 1);
-        assert!(
-            svc.cache_epoch() > epoch,
-            "cached replies still invalidated"
-        );
-
-        // Inside the derived ranges: sketched once on insert, not again.
-        svc.insert(ObjectId(7), point(0.45), None).unwrap();
-        svc.retune_sketches(NBITS, XOR_FOLDS, SEED).unwrap();
-        assert_eq!(sketched_total(&registry), sketched + 1);
-
-        // Outside them: the whole corpus is rebuilt, in place.
-        svc.insert(ObjectId(8), point(3.0), None).unwrap();
-        svc.retune_sketches(NBITS, XOR_FOLDS, SEED).unwrap();
-        assert_eq!(sketched_total(&registry), sketched + 2 + 12);
-        assert_eq!(svc.recovery().engine_builds, 2);
-        assert!(
-            registry
-                .render_prometheus()
-                .contains("ferret_recovery_seconds{stage=\"retune\"}"),
-            "retune stage published"
-        );
-        let rebuilt = observe(&mut svc);
-        drop(svc);
-        let mut fresh = open_then_retune(&dir, layout);
-        // Recovery order is key order, not the order this process inserted
-        // in; everything after it must agree.
-        assert_eq!(rebuilt[1..], observe(&mut fresh)[1..], "{layout}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
 }
 
 /// Writes objects straight into the feature table, bypassing the engine's
@@ -226,60 +206,177 @@ fn write_features(dir: &Path, objects: &[(u64, DataObject)]) {
 }
 
 #[test]
-fn underivable_ranges_fall_back_to_the_configured_ones() {
-    // Every component is the same value, too large for the ±0.5 widening
-    // to register in an f32: no dimension has a range to derive.
-    let dir = tmpdir("underivable");
-    let flat = object(&[(vec![1.0e9; DIM], 1.0)]);
-    write_features(&dir, &[(1, flat.clone()), (2, flat)]);
-    let mut tuned = open_tuned(&dir, IndexLayout::Monolithic);
-    let why = tuned
-        .recovery()
-        .derive_error
-        .clone()
-        .expect("derive failed");
-    assert!(why.contains("zero range"), "{why}");
-    assert_eq!(tuned.recovery().engine_builds, 1);
-    let seen = observe(&mut tuned);
-    drop(tuned);
-    // Exactly what a plain open serves, whose retune fails the same way.
-    let mut plain = wide(IndexLayout::Monolithic).open(&dir).unwrap();
-    assert!(plain.retune_sketches(NBITS, XOR_FOLDS, SEED).is_err());
-    assert_eq!(observe(&mut plain), seen);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn mixed_dimension_table_is_reported_by_the_insert_not_the_derive() {
     let dir = tmpdir("mixed-dim");
     let other = DataObject::single(FeatureVector::new(vec![0.1, 0.2]).unwrap());
     write_features(&dir, &[(1, point(0.3)), (2, other)]);
-    let open = |tuned: bool| {
-        let builder = wide(IndexLayout::Monolithic);
-        let builder = if tuned {
-            builder.derive_sketch_ranges()
-        } else {
-            builder
-        };
-        builder.open(&dir).err().map(|e| e.to_string())
-    };
-    // Deriving over mixed dimensions fails first, falls back, and leaves
-    // the verdict to the same check a plain open runs.
-    let plain = open(false).expect("a plain open rejects the table");
-    assert!(plain.contains("dimension"), "{plain}");
-    assert_eq!(open(true), Some(plain));
+    let err = wide(IndexLayout::Monolithic).open(&dir).err();
+    let err = err.expect("a mixed table fails the open").to_string();
+    assert!(err.contains("dimension"), "{err}");
 
     // A table that is uniformly of another dimensionality is not adopted
     // either: the configured one stands and the insert names the mismatch.
     let dir2 = tmpdir("other-dim");
     let pair = |x: f32| DataObject::single(FeatureVector::new(vec![x, -x]).unwrap());
     write_features(&dir2, &[(1, pair(0.1)), (2, pair(0.9))]);
-    let err = wide(IndexLayout::Monolithic)
-        .derive_sketch_ranges()
-        .open(&dir2)
-        .err()
-        .expect("wrong --dim still fails the open");
-    assert!(err.to_string().contains("dimension"), "{err}");
+    let err = wide(IndexLayout::Monolithic).open(&dir2).err();
+    let err = err.expect("wrong --dim still fails the open").to_string();
+    assert!(err.contains("dimension"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&dir2).ok();
+}
+
+#[test]
+fn a_record_of_another_dimensionality_fails_the_open() {
+    let dir = tmpdir("record-dim");
+    {
+        let mut svc = wide(IndexLayout::Monolithic).open(&dir).unwrap();
+        svc.insert(ObjectId(1), point(0.2), None).unwrap();
+        svc.insert(ObjectId(2), point(0.7), None).unwrap();
+        svc.retune_sketches(NBITS, XOR_FOLDS, SEED).unwrap();
+    }
+    let params = SketchParams::new(NBITS, vec![0.0; DIM + 1], vec![1.0; DIM + 1]).unwrap();
+    let err = FerretService::builder(EngineConfig::basic(params, SEED))
+        .db_options(db_opts())
+        .open(&dir)
+        .err();
+    assert!(
+        matches!(
+            err,
+            Some(ServiceError::Core(CoreError::DimensionMismatch {
+                expected: 4,
+                actual: 3
+            }))
+        ),
+        "{err:?}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+fn record(dir: &Path) -> Option<Vec<u8>> {
+    let db = Database::open_with(dir, db_opts()).unwrap();
+    db.get(CALIBRATION_TABLE, CALIBRATION_KEY)
+        .map(<[u8]>::to_vec)
+}
+
+#[test]
+fn a_store_without_a_record_is_calibrated_once() {
+    let dir = tmpdir("migrate");
+    let corpus: Vec<_> = (0..12u64)
+        .map(|i| (300 + i, point(i as f32 / 12.0)))
+        .collect();
+    // A feature table and no record: a store written before records.
+    write_features(&dir, &corpus);
+    let configured = wide(IndexLayout::Monolithic).open(&dir).unwrap();
+    let wide_params = configured.engine().sketch_builder().params().clone();
+    assert!(!configured.calibrated());
+    assert_eq!(wide_params.mins, vec![-1000.0; DIM]);
+    drop(configured);
+
+    // Another seed than the configured one: the reopen must take the
+    // stored seed, not the configuration's.
+    let mut svc = wide(IndexLayout::Monolithic).open(&dir).unwrap();
+    svc.retune_sketches(NBITS, XOR_FOLDS, SEED + 1).unwrap();
+    assert!(svc.calibrated());
+    let tuned = observe(&mut svc);
+    assert_ne!(svc.engine().sketch_builder().params(), &wide_params);
+    drop(svc);
+    let stored = record(&dir).expect("the retune stored a record");
+    assert_eq!(
+        decode_calibration(&stored).unwrap(),
+        (
+            SketchParams::from_objects(NBITS, XOR_FOLDS, corpus.iter().map(|(_, o)| o)).unwrap(),
+            SEED + 1
+        )
+    );
+
+    // The reopen reads the record: every object is sketched exactly once,
+    // under the stored parameters, and nothing derives again.
+    let registry = Arc::new(MetricsRegistry::new());
+    let mut reopened = wide(IndexLayout::Monolithic)
+        .telemetry(Arc::clone(&registry))
+        .open(&dir)
+        .unwrap();
+    assert!(reopened.calibrated());
+    assert_eq!(sketched_total(&registry), corpus.len() as u64);
+    assert_eq!(observe(&mut reopened), tuned);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_failed_derive_leaves_the_engine_and_the_record_untouched() {
+    // Every component is the same value, too large for the ±0.5 widening
+    // to register in an f32: no dimension has a range to derive.
+    let dir = tmpdir("underivable");
+    let flat = object(&[(vec![1.0e9; DIM], 1.0)]);
+    write_features(&dir, &[(1, flat.clone()), (2, flat)]);
+    let mut svc = wide(IndexLayout::Monolithic).open(&dir).unwrap();
+    let before = observe(&mut svc);
+    let why = svc.retune_sketches(NBITS, XOR_FOLDS, SEED).unwrap_err();
+    assert!(why.to_string().contains("zero range"), "{why}");
+    assert!(!svc.calibrated());
+    assert_eq!(observe(&mut svc), before);
+    drop(svc);
+    assert_eq!(record(&dir), None);
+
+    // A calibrated store emptied of its objects keeps its record when
+    // the next derive finds nothing to derive from.
+    let dir2 = tmpdir("emptied");
+    let mut svc = wide(IndexLayout::Monolithic).open(&dir2).unwrap();
+    svc.insert(ObjectId(1), point(0.2), None).unwrap();
+    svc.insert(ObjectId(2), point(0.6), None).unwrap();
+    svc.retune_sketches(NBITS, XOR_FOLDS, SEED).unwrap();
+    let params = svc.engine().sketch_builder().params().clone();
+    svc.remove(ObjectId(1)).unwrap();
+    svc.remove(ObjectId(2)).unwrap();
+    assert!(svc.retune_sketches(NBITS / 2, 1, SEED + 1).is_err());
+    assert_eq!(svc.engine().sketch_builder().params(), &params);
+    drop(svc);
+    let stored = record(&dir2).expect("record kept");
+    assert_eq!(decode_calibration(&stored).unwrap(), (params, SEED));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&dir2).ok();
+}
+
+#[test]
+fn a_range_widening_insert_is_counted_and_moves_no_other_sketch() {
+    let dir = tmpdir("out-of-range");
+    let mut svc = wide(IndexLayout::Monolithic).open(&dir).unwrap();
+    let items = (0..8u64)
+        .map(|i| (ObjectId(i), point(i as f32 / 8.0), None))
+        .collect();
+    svc.insert_batch(items).unwrap();
+    svc.retune_sketches(NBITS, XOR_FOLDS, SEED).unwrap();
+    let registry = Arc::new(MetricsRegistry::new());
+    svc.enable_telemetry(Arc::clone(&registry));
+    let out_of_range = || {
+        registry
+            .counter_value("ferret_sketch_out_of_range_total", &[])
+            .unwrap()
+    };
+    assert!(registry
+        .render_prometheus()
+        .contains("ferret_sketch_out_of_range_total 0"));
+    let params = svc.engine().sketch_builder().params().clone();
+    let sketches: Vec<_> = (0..8u64)
+        .map(|i| svc.engine().sketched(ObjectId(i)).cloned())
+        .collect();
+
+    svc.insert(ObjectId(100), point(0.5), None).unwrap();
+    assert_eq!(out_of_range(), 0, "inside the calibrated ranges");
+    svc.insert_batch(vec![
+        (ObjectId(101), point(3.0), None),
+        (ObjectId(102), point(0.25), None),
+    ])
+    .unwrap();
+    svc.insert(ObjectId(103), point(-2.0), None).unwrap();
+    assert_eq!(out_of_range(), 2);
+    assert_eq!(sketched_total(&registry), 4);
+    // Counted, never acted on: the calibration and every earlier sketch
+    // stand.
+    assert_eq!(svc.engine().sketch_builder().params(), &params);
+    for (i, sketch) in sketches.iter().enumerate() {
+        assert_eq!(&svc.engine().sketched(ObjectId(i as u64)).cloned(), sketch);
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -5,10 +5,10 @@
 use proptest::prelude::*;
 
 use ferret::core::engine::{QueryMode, QueryOptions, SearchEngine};
-use ferret::core::filter::{filter_candidates, filter_candidates_sharded, FilterParams};
+use ferret::core::filter::FilterParams;
 use ferret::core::object::{DataObject, ObjectId};
 use ferret::core::parallel::Parallelism;
-use ferret::core::sketch::{SketchParams, SketchedObject};
+use ferret::core::sketch::SketchParams;
 use ferret::core::vector::FeatureVector;
 
 fn vec_strategy(dim: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -126,37 +126,6 @@ proptest! {
                 prop_assert!(resp.trace.is_none(), "telemetry off must not trace");
                 prop_assert_eq!(&resp.results, &base.results, "{} {:?}", p, o.mode);
             }
-        }
-    }
-
-    /// The sharded in-memory filter scan yields the exact candidate set
-    /// and statistics of the serial scan.
-    #[test]
-    fn sharded_filter_candidates_identical(
-        objects in prop::collection::vec(object_strategy(3), 4..20),
-        cand in 1usize..5,
-        seed in 0u64..100,
-    ) {
-        let engine = engine_with(&objects, seed);
-        let query = engine.sketched(ObjectId(0)).unwrap().clone();
-        let params = FilterParams {
-            query_segments: 2,
-            candidates_per_segment: cand,
-            ..FilterParams::default()
-        };
-        let dataset: Vec<(ObjectId, &SketchedObject)> = engine
-            .ids()
-            .iter()
-            .map(|&id| (id, engine.sketched(id).unwrap()))
-            .collect();
-        let (serial_set, serial_stats) =
-            filter_candidates(&query, dataset.iter().map(|&(id, so)| (id, so)), &params)
-                .unwrap();
-        for threads in [2usize, 7] {
-            let (set, stats) =
-                filter_candidates_sharded(&query, &dataset, &params, threads).unwrap();
-            prop_assert_eq!(&set, &serial_set, "threads {}", threads);
-            prop_assert_eq!(stats, serial_stats, "threads {}", threads);
         }
     }
 }

@@ -108,9 +108,9 @@ proptest! {
         prop_assert_eq!(bv, back);
     }
 
-    /// Objects roundtrip through the persistence codec (components are
-    /// bit-exact; weights are re-normalized on decode, so compare within
-    /// f32 rounding).
+    /// Objects roundtrip through the persistence codec bit for bit,
+    /// weights included: decoding does not normalize the stored weights
+    /// again, so a restart sketches and ranks every object as before.
     #[test]
     fn object_codec_roundtrip(obj in object_strategy(5)) {
         let bytes = ferret::core::codec::encode_object(&obj);
@@ -119,7 +119,7 @@ proptest! {
         prop_assert_eq!(obj.dim(), back.dim());
         for (a, b) in obj.segments().iter().zip(back.segments()) {
             prop_assert_eq!(a.vector.components(), b.vector.components());
-            prop_assert!((a.weight - b.weight).abs() < 1e-6);
+            prop_assert_eq!(a.weight.to_bits(), b.weight.to_bits());
         }
     }
 
