@@ -2,10 +2,10 @@
 //!
 //! `AttrStore` persists through the shared metadata [`Database`], which is
 //! exactly the seam the fault-injection harness covers — this test proves
-//! it. Pass 1 records every mutation I/O event of a fault-free set/remove
-//! workload under a no-fault [`FaultVfs`]; pass 2 replays the workload once
-//! per recorded event with a simulated power loss at that event (both the
-//! seeded crash model and the worst legal outcome). After every crash the
+//! it. [`sweep_crash_points`] records every mutation I/O event of a
+//! fault-free set/remove workload under a no-fault [`FaultVfs`], then
+//! replays the workload once per recorded event with a simulated power loss
+//! at that event (both the seeded crash model and the worst legal outcome). After every crash the
 //! store reopens with the plain filesystem and the recovered attribute sets
 //! must equal the state after some legal prefix of the acknowledged
 //! operations — with `Durability::Sync`, that prefix is at least every
@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use ferret_attr::{AttrStore, Attributes, AttrsBuilder};
 use ferret_core::object::ObjectId;
-use ferret_store::vfs::{FaultPlan, FaultVfs, StdVfs, Vfs};
+use ferret_store::vfs::{sweep_crash_points, FaultPlan, FaultVfs, StdVfs, Vfs};
 use ferret_store::{Database, DbOptions, Durability};
 
 /// Logical attribute state: object id → its attribute set.
@@ -148,39 +148,21 @@ fn attr_workload_recovers_from_every_crash_point() {
     const TOTAL_OPS: u64 = 32;
     let base = tmpdir("sweep");
     let prefixes = prefix_models(TOTAL_OPS);
-
-    // Pass 1: record the full event trace of a fault-free run.
-    let fault = FaultVfs::new(Arc::new(StdVfs), FaultPlan::default());
-    let clean_dir = base.join("clean");
-    let outcome = run_workload(Arc::new(fault.clone()), &clean_dir, TOTAL_OPS);
-    assert!(!outcome.failed, "fault-free run failed");
-    let total_events = fault.fault_points();
-    assert!(!fault.tripped());
-    assert_eq!(read_state(&clean_dir), prefixes[TOTAL_OPS as usize]);
-    assert!(
-        total_events >= 40,
-        "only {total_events} fault points recorded; the workload is not \
-         exercising the durable path"
-    );
-
-    // Pass 2: crash at every event index, under both crash models.
-    for point in 0..total_events {
-        for worst_case in [false, true] {
-            let dir = base.join(format!("p{point}-{}", u8::from(worst_case)));
-            let seed = 0xa77_c4a5_1234u64 ^ (point << 1) ^ u64::from(worst_case);
-            let fault = FaultVfs::new(Arc::new(StdVfs), FaultPlan::crash_at(point, seed));
-            let outcome = run_workload(Arc::new(fault.clone()), &dir, TOTAL_OPS);
+    let total_events = sweep_crash_points(
+        &base,
+        0xa77_c4a5_1234,
+        |vfs, dir| run_workload(vfs, dir, TOTAL_OPS),
+        |point, dir, outcome| {
+            let Some(point) = point else {
+                assert!(!outcome.failed, "fault-free run failed");
+                assert_eq!(read_state(dir), prefixes[TOTAL_OPS as usize]);
+                return;
+            };
             assert!(
                 outcome.failed || outcome.ops_done == TOTAL_OPS,
-                "point {point}: crash did not fire"
+                "{point}: crash did not fire"
             );
-            assert!(fault.tripped(), "point {point}: no injected fault");
-            if worst_case {
-                fault.crash_worst_case().unwrap();
-            } else {
-                fault.crash().unwrap();
-            }
-            let recovered = read_state(&dir);
+            let recovered = read_state(dir);
             // Remove-of-absent ops repeat states, so prefixes are not all
             // distinct: accept any prefix index inside the legal window
             // [acknowledged, acknowledged + in-flight].
@@ -188,13 +170,17 @@ fn attr_workload_recovers_from_every_crash_point() {
             let hi = (outcome.ops_done + outcome.in_flight) as usize;
             assert!(
                 (lo..=hi).any(|k| prefixes[k] == recovered),
-                "point {point} worst={worst_case}: recovered {} attribute \
-                 sets, not the state after any of ops {lo}..={hi}",
+                "{point}: recovered {} attribute sets, not the state after any \
+                 of ops {lo}..={hi}",
                 recovered.len()
             );
-            std::fs::remove_dir_all(&dir).ok();
-        }
-    }
+        },
+    );
+    assert!(
+        total_events >= 40,
+        "only {total_events} fault points recorded; the workload is not \
+         exercising the durable path"
+    );
     std::fs::remove_dir_all(&base).ok();
 }
 

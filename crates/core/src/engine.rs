@@ -16,10 +16,8 @@ use crate::filter::{filter_candidates_arena, FilterParams};
 use crate::object::{DataObject, ObjectId};
 use crate::parallel::{try_map_chunked, Parallelism, DEFAULT_CHUNK};
 use crate::rank::{rank_candidates_parallel, rank_scores, SearchResult};
-use crate::segment::{
-    IndexLayout, IndexStorage, MonolithicStorage, SegmentedStorage, StorageStats,
-};
 use crate::sketch::{SketchBuilder, SketchParams, SketchedObject};
+use crate::storage::Storage;
 use crate::telemetry::{MetricsRegistry, QueryTrace, StageClock, StageTrace, SIZE_BUCKETS};
 
 /// How a query traverses the dataset (paper §6.3.3).
@@ -108,22 +106,7 @@ pub struct EngineConfig {
     /// batch sketch construction may use. Results are bit-identical for
     /// every setting; this only trades wall-clock time for cores.
     pub parallelism: Parallelism,
-    /// Which storage layout backs the object maps and sketch index:
-    /// one mutable monolith, or LSM-style immutable segments. Results
-    /// are bit-identical for every setting (see [`IndexLayout`]).
-    pub index_layout: IndexLayout,
-    /// Seal threshold of the segmented layout's memtable (ignored by
-    /// [`IndexLayout::Monolithic`]).
-    pub memtable_size: usize,
-    /// Run the segmented layout's background compaction worker (ignored
-    /// by [`IndexLayout::Monolithic`]). Off, segments only merge through
-    /// explicit [`SearchEngine::compact`] calls — deterministic, for
-    /// tests.
-    pub compaction: bool,
 }
-
-/// Default memtable seal threshold for [`IndexLayout::Segmented`].
-pub const DEFAULT_MEMTABLE_SIZE: usize = 1024;
 
 impl EngineConfig {
     /// Conventional configuration: ℓ₁ segment distance, exact EMD ranking,
@@ -136,9 +119,6 @@ impl EngineConfig {
             ranking: RankingMethod::Emd,
             store_originals: true,
             parallelism: Parallelism::Auto,
-            index_layout: IndexLayout::default(),
-            memtable_size: DEFAULT_MEMTABLE_SIZE,
-            compaction: true,
         }
     }
 }
@@ -454,8 +434,7 @@ pub struct EngineMemory {
 /// use ferret_core::prelude::*;
 /// let params = SketchParams::new(64, vec![0.0; 2], vec![1.0; 2]).unwrap();
 /// let engine = SearchEngine::builder(params, 42)
-///     .index_layout(IndexLayout::Segmented)
-///     .memtable_size(64)
+///     .parallelism(Parallelism::Serial)
 ///     .build()
 ///     .unwrap();
 /// assert!(engine.is_empty());
@@ -505,24 +484,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the index storage layout.
-    pub fn index_layout(mut self, index_layout: IndexLayout) -> Self {
-        self.config.index_layout = index_layout;
-        self
-    }
-
-    /// Sets the segmented layout's memtable seal threshold.
-    pub fn memtable_size(mut self, memtable_size: usize) -> Self {
-        self.config.memtable_size = memtable_size;
-        self
-    }
-
-    /// Enables or disables the segmented layout's background compaction.
-    pub fn compaction(mut self, compaction: bool) -> Self {
-        self.config.compaction = compaction;
-        self
-    }
-
     /// Wires a metrics registry into the engine at construction time.
     pub fn telemetry(mut self, registry: Option<Arc<MetricsRegistry>>) -> Self {
         self.telemetry = registry;
@@ -534,14 +495,7 @@ impl EngineBuilder {
         let config = self.config;
         let builder = SketchBuilder::new(config.sketch.clone(), config.seed);
         let sketch_scale = 1.0 / builder.hamming_per_l1();
-        let storage: Box<dyn IndexStorage> = match config.index_layout {
-            IndexLayout::Monolithic => Box::new(MonolithicStorage::new(builder.nbits())),
-            IndexLayout::Segmented => Box::new(SegmentedStorage::new(
-                builder.nbits(),
-                config.memtable_size,
-                config.compaction,
-            )),
-        };
+        let storage = Storage::new(builder.nbits());
         let mut engine = SearchEngine {
             builder,
             sketch_scale,
@@ -568,8 +522,8 @@ pub struct SearchEngine {
     /// When set, queries are timed per stage, metrics are recorded into
     /// the registry, and responses carry a [`QueryTrace`].
     telemetry: Option<Arc<MetricsRegistry>>,
-    /// The object maps and sketch index, behind the layout seam.
-    storage: Box<dyn IndexStorage>,
+    /// The object maps and the sketch arena.
+    storage: Storage,
     /// Segments across all live objects, kept by insert/remove so
     /// [`SearchEngine::memory_estimate`] needs no corpus walk.
     segments: usize,
@@ -589,11 +543,6 @@ impl SearchEngine {
     /// The engine's full construction configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config
-    }
-
-    /// The engine's index storage layout.
-    pub fn index_layout(&self) -> IndexLayout {
-        self.storage.layout()
     }
 
     /// The engine's parallelism setting.
@@ -651,53 +600,12 @@ impl SearchEngine {
         }
     }
 
-    /// Point-in-time statistics of the storage layout (segment counts,
-    /// memtable occupancy, tombstones).
-    pub fn storage_stats(&self) -> StorageStats {
-        self.storage.stats()
-    }
-
-    /// The storage epoch: a monotone counter advancing on every visible
-    /// mutation (insert, remove, seal, compaction apply). Equal epochs
-    /// imply identical visible state.
-    pub fn storage_epoch(&self) -> u64 {
-        self.storage.epoch()
-    }
-
-    /// Seals the segmented layout's memtable into an immutable segment
-    /// (no-op for the monolithic layout or an empty memtable).
-    pub fn seal(&mut self) -> Result<()> {
-        self.storage.seal()
-    }
-
-    /// Runs compaction to quiescence inline: merges small or
-    /// removal-heavy segment runs synchronously. A no-op for the
-    /// monolithic layout.
-    pub fn compact(&mut self) -> Result<()> {
-        self.storage.merge()
-    }
-
-    /// Applies any finished background compactions and schedules due
-    /// ones, without blocking. Call periodically (the serve scan loop
-    /// does) so background merges land even when the write path is idle.
-    pub fn maintain(&mut self) -> Result<()> {
-        self.storage.maintain()
-    }
-
-    /// Attaches durable segment persistence (segmented layout only; the
-    /// monolithic layout has no segments and ignores this). The current
-    /// sealed segments are checkpointed immediately.
-    pub fn attach_segment_persistence(&mut self, store: ferret_store::SegmentStore) -> Result<()> {
-        self.storage.attach_persistence(store)
-    }
-
     /// Enables (or disables, with `None`) telemetry collection. When
     /// enabled, every query records per-stage latency histograms and
     /// scan counters into `registry` and returns a [`QueryTrace`] on its
     /// response. Collection never changes query results.
     pub fn set_telemetry(&mut self, registry: Option<Arc<MetricsRegistry>>) {
         self.telemetry = registry;
-        self.storage.set_telemetry(self.telemetry.clone());
         // Register the ingest sketch series eagerly so `/metrics` shows
         // them (at zero) even before the first post-enable insert — the
         // initial import typically happens before telemetry is wired up.
@@ -744,7 +652,7 @@ impl SearchEngine {
 
     /// True if the engine holds no objects.
     pub fn is_empty(&self) -> bool {
-        self.storage.is_empty()
+        self.storage.len() == 0
     }
 
     /// True if `id` is stored.
@@ -754,7 +662,7 @@ impl SearchEngine {
 
     /// Object ids in insertion order.
     pub fn ids(&self) -> Vec<ObjectId> {
-        self.storage.live_ids()
+        self.storage.ids().to_vec()
     }
 
     /// The original object, if originals are stored.
@@ -828,20 +736,17 @@ impl SearchEngine {
         Ok(())
     }
 
-    /// Removes an object; returns `true` if it was present. With the
-    /// segmented layout the removal is a tombstone until compaction
-    /// reclaims it, which is why this can now report an I/O error (the
-    /// tombstone may trigger a persisted compaction apply).
-    pub fn remove(&mut self, id: ObjectId) -> Result<bool> {
+    /// Removes an object; returns `true` if it was present.
+    pub fn remove(&mut self, id: ObjectId) -> bool {
         let segments = self
             .storage
             .sketch(id)
             .map_or(0, SketchedObject::num_segments);
-        let present = self.storage.tombstone(id)?;
+        let present = self.storage.remove(id);
         if present {
             self.segments -= segments;
         }
-        Ok(present)
+        present
     }
 
     /// Sketches a query object with the engine's construction unit.
@@ -883,22 +788,6 @@ impl SearchEngine {
             .build()
     }
 
-    /// Sketches `items` into this (empty) engine and takes
-    /// over durable segment persistence: the first checkpoint commits a
-    /// manifest naming only this engine's segment files, superseding (and
-    /// garbage-collecting) the previous owner's.
-    fn adopt(
-        &mut self,
-        items: Vec<(ObjectId, DataObject)>,
-        store: Option<ferret_store::SegmentStore>,
-    ) -> Result<()> {
-        self.insert_batch(items)?;
-        match store {
-            Some(store) => self.attach_segment_persistence(store),
-            None => Ok(()),
-        }
-    }
-
     /// Re-sketches this engine in place with new sketch parameters (the
     /// parameter-tuning loop of paper §4.3). The originals are moved, not
     /// copied, and the old sketches are dropped before the new ones are
@@ -914,13 +803,11 @@ impl SearchEngine {
         }
         let rebuilt = self.reconfigured(sketch, seed)?;
         let old = std::mem::replace(self, rebuilt);
-        let (items, store) = old.storage.into_originals();
-        self.adopt(items, store)
+        self.insert_batch(old.storage.into_originals())
     }
 
     /// Estimated resident bytes of the engine's two bulk structures, from
-    /// object and segment counts plus the sketch arenas' capacity
-    /// (O(parts)).
+    /// object and segment counts plus the sketch arena's capacity (O(1)).
     pub fn memory_estimate(&self) -> EngineMemory {
         use std::mem::size_of;
         let (objects, segments) = (self.len(), self.segments);
@@ -939,7 +826,7 @@ impl SearchEngine {
                 * (size_of::<crate::sketch::BitVec>()
                     + sketch_words * size_of::<u64>()
                     + size_of::<f32>())
-            + self.storage.arena_bytes();
+            + self.storage.arena().memory_bytes();
         EngineMemory {
             originals,
             sketches,
@@ -1345,7 +1232,7 @@ impl SearchEngine {
         let clock = StageClock::start(trace.is_some());
         let (candidates, fstats) = filter_candidates_arena(
             &qs,
-            &self.storage.arena_parts(),
+            self.storage.arena(),
             &options.filter,
             options.restrict.as_ref(),
         )?;
@@ -1537,9 +1424,18 @@ mod tests {
     fn remove_works() {
         let mut e = engine(64, 2);
         e.insert(ObjectId(1), obj(&[(&[0.5, 0.5], 1.0)])).unwrap();
-        assert!(e.remove(ObjectId(1)).unwrap());
-        assert!(!e.remove(ObjectId(1)).unwrap());
+        assert!(e.remove(ObjectId(1)));
+        assert!(!e.remove(ObjectId(1)));
         assert!(e.is_empty());
+        // A re-insert under a removed id serves the new payload only.
+        let newer = obj(&[(&[0.1, 0.9], 1.0)]);
+        e.insert(ObjectId(1), newer.clone()).unwrap();
+        assert_eq!(e.object(ObjectId(1)), Some(&newer));
+        assert_eq!(
+            e.sketched(ObjectId(1)),
+            Some(&e.sketch_query(&newer).unwrap())
+        );
+        assert_eq!(e.ids(), vec![ObjectId(1)]);
     }
 
     #[test]
@@ -1755,18 +1651,10 @@ mod tests {
         assert!(e.query(&q, &QueryOptions::brute_force(1)).is_ok());
     }
 
-    /// A fresh engine over `source`'s live objects, built with `configure`
-    /// applied to the conventional builder: the reference a retune must
-    /// reproduce.
-    fn fresh_copy(
-        source: &SearchEngine,
-        sketch: SketchParams,
-        seed: u64,
-        configure: impl FnOnce(EngineBuilder) -> EngineBuilder,
-    ) -> SearchEngine {
-        let mut fresh = configure(SearchEngine::builder(sketch, seed))
-            .build()
-            .unwrap();
+    /// A fresh engine over `source`'s live objects: the reference a
+    /// retune must reproduce.
+    fn fresh_copy(source: &SearchEngine, sketch: SketchParams, seed: u64) -> SearchEngine {
+        let mut fresh = SearchEngine::builder(sketch, seed).build().unwrap();
         for id in source.ids() {
             fresh
                 .insert(id, source.object(id).unwrap().clone())
@@ -1785,7 +1673,7 @@ mod tests {
             .iter()
             .zip(derived.maxs.iter())
             .all(|(a, b)| a < b));
-        let fresh = fresh_copy(&e, derived.clone(), 99, |b| b);
+        let fresh = fresh_copy(&e, derived.clone(), 99);
         e.retune(derived, 99).unwrap();
         assert_eq!(e.ids(), fresh.ids());
         for id in e.ids() {
@@ -1804,43 +1692,34 @@ mod tests {
     }
 
     #[test]
-    fn retune_in_place_equals_fresh_build_in_both_layouts() {
-        for layout in [IndexLayout::Monolithic, IndexLayout::Segmented] {
-            let (clustered, _) = clustered_engine();
-            let mut e = SearchEngine::builder(params(256, 4), 42)
-                .index_layout(layout)
-                .memtable_size(3)
-                .compaction(false)
-                .build()
-                .unwrap();
-            for id in clustered.ids() {
-                e.insert(id, clustered.object(id).unwrap().clone()).unwrap();
-            }
-            // A tombstone inside a sealed segment must not come back.
-            assert!(e.remove(ObjectId(1)).unwrap());
-            let derived = e.derive_sketch_params(512, 2).unwrap();
-            let fresh = fresh_copy(&e, derived.clone(), 99, |b| {
-                b.index_layout(layout).memtable_size(3).compaction(false)
-            });
-            let before = e.memory_estimate();
-            e.retune(derived.clone(), 99).unwrap();
-            assert_eq!(e.ids(), fresh.ids(), "{layout}");
-            assert_eq!(e.sketch_builder().params(), &derived);
-            assert_eq!(e.config().seed, 99);
-            for id in e.ids() {
-                assert_eq!(e.sketched(id), fresh.sketched(id), "{layout} {id}");
-                assert_eq!(e.object(id), fresh.object(id));
-            }
-            // 9 objects × 2 segments survive; only the sketch width grew.
-            let after = e.memory_estimate();
-            assert_eq!(after.originals, before.originals);
-            assert_eq!(after.originals, fresh.memory_estimate().originals);
-            assert!(after.sketches > before.sketches);
-            // A wrong dimensionality is refused before anything is torn down.
-            assert!(e.retune(params(64, 2), 1).is_err());
-            assert_eq!(e.len(), 9);
-            assert_eq!(e.sketch_builder().params(), &derived);
+    fn retune_in_place_equals_fresh_build() {
+        let (clustered, _) = clustered_engine();
+        let mut e = SearchEngine::builder(params(256, 4), 42).build().unwrap();
+        for id in clustered.ids() {
+            e.insert(id, clustered.object(id).unwrap().clone()).unwrap();
         }
+        // A removed object must not come back.
+        assert!(e.remove(ObjectId(1)));
+        let derived = e.derive_sketch_params(512, 2).unwrap();
+        let fresh = fresh_copy(&e, derived.clone(), 99);
+        let before = e.memory_estimate();
+        e.retune(derived.clone(), 99).unwrap();
+        assert_eq!(e.ids(), fresh.ids());
+        assert_eq!(e.sketch_builder().params(), &derived);
+        assert_eq!(e.config().seed, 99);
+        for id in e.ids() {
+            assert_eq!(e.sketched(id), fresh.sketched(id), "{id}");
+            assert_eq!(e.object(id), fresh.object(id));
+        }
+        // 9 objects × 2 segments survive; only the sketch width grew.
+        let after = e.memory_estimate();
+        assert_eq!(after.originals, before.originals);
+        assert_eq!(after.originals, fresh.memory_estimate().originals);
+        assert!(after.sketches > before.sketches);
+        // A wrong dimensionality is refused before anything is torn down.
+        assert!(e.retune(params(64, 2), 1).is_err());
+        assert_eq!(e.len(), 9);
+        assert_eq!(e.sketch_builder().params(), &derived);
     }
 
     #[test]

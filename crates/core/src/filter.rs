@@ -118,7 +118,7 @@ impl PartialOrd for HeapEntry {
 /// Admission compares full `(hamming, object id)` entries, a *total*
 /// order, so the kept set is the `k` smallest entries of everything
 /// offered — independent of the order entries arrive in. This is what
-/// makes the arena kernel's part-by-part walk equal the reference scan.
+/// makes the arena kernel's walk equal the reference scan.
 fn admit(heap: &mut BinaryHeap<HeapEntry>, capacity: usize, entry: HeapEntry) {
     if heap.len() < capacity {
         heap.push(entry);
@@ -144,8 +144,8 @@ fn admission_limit(heap: &BinaryHeap<HeapEntry>, capacity: usize, threshold: u32
 
 /// The arena kernel's inner loop for one query slot: offers every segment
 /// whose distance is within the running limit to the heap, consulting the
-/// dead and pushdown sets only for those — a few segments per query out of
-/// the whole part.
+/// pushdown set only for those — a few segments per query out of the whole
+/// arena.
 #[inline(always)]
 fn walk_arena(
     heap: &mut BinaryHeap<HeapEntry>,
@@ -153,15 +153,11 @@ fn walk_arena(
     threshold: u32,
     distances: impl Iterator<Item = u32>,
     owners: &[ObjectId],
-    dead: Option<&HashSet<ObjectId>>,
     restrict: Option<&HashSet<ObjectId>>,
 ) {
     let mut limit = admission_limit(heap, capacity, threshold);
     for (hamming, &object) in distances.zip(owners) {
-        if hamming > limit
-            || dead.is_some_and(|set| set.contains(&object))
-            || restrict.is_some_and(|set| !set.contains(&object))
-        {
+        if hamming > limit || restrict.is_some_and(|set| !set.contains(&object)) {
             continue;
         }
         admit(heap, capacity, HeapEntry { hamming, object });
@@ -245,17 +241,15 @@ impl FilterScan {
         Ok(())
     }
 
-    /// Walks one arena part for every selected query sketch — the arena
-    /// kernel — and counts the part's live objects and segments, which it
-    /// knows without walking the dead set.
+    /// Walks the arena for every selected query sketch — the arena kernel
+    /// — and counts its objects and segments.
     fn scan_arena(
         &mut self,
-        part: &ArenaPart<'_>,
+        arena: &SketchArena,
         restrict: Option<&HashSet<ObjectId>>,
     ) -> Result<()> {
-        self.stats.objects_scanned += part.live_objects();
-        self.stats.segments_scanned += part.live_segments();
-        let arena = part.arena;
+        self.stats.objects_scanned += arena.objects();
+        self.stats.segments_scanned += arena.len();
         if arena.is_empty() {
             return Ok(());
         }
@@ -281,7 +275,7 @@ impl FilterScan {
                         .0
                         .iter()
                         .map(|&[a, b]| (a ^ q0).count_ones() + (b ^ q1).count_ones());
-                    walk_arena(heap, cap, threshold, distances, owners, part.dead, restrict);
+                    walk_arena(heap, cap, threshold, distances, owners, restrict);
                 }
                 ref q => {
                     let distances = words.chunks_exact(width).map(|s| {
@@ -290,7 +284,7 @@ impl FilterScan {
                             .map(|(a, b)| (a ^ b).count_ones())
                             .sum::<u32>()
                     });
-                    walk_arena(heap, cap, threshold, distances, owners, part.dead, restrict);
+                    walk_arena(heap, cap, threshold, distances, owners, restrict);
                 }
             }
         }
@@ -310,63 +304,23 @@ impl FilterScan {
     }
 }
 
-/// One storage part's sketches as the arena kernel reads them: the part's
-/// [`SketchArena`] plus the removals the arena cannot record in place.
+/// The filtering scan over the sketch arena: the production scan path.
 ///
-/// Monolithic storage and the segmented memtable remove from their arena
-/// directly; a sealed segment's arena is immutable, so removals after
-/// sealing land in its dead set until compaction rewrites the segment.
-#[derive(Debug, Clone, Copy)]
-pub struct ArenaPart<'a> {
-    /// Every sketch of the part, back to back, with its owner column.
-    pub arena: &'a SketchArena,
-    /// Objects removed from the part after its arena was built.
-    pub dead: Option<&'a HashSet<ObjectId>>,
-    /// Sketches owned by `dead` objects, so the live count is known
-    /// without walking the dead set per query.
-    pub dead_segments: usize,
-}
-
-impl<'a> ArenaPart<'a> {
-    /// A part with no removals pending.
-    pub fn live(arena: &'a SketchArena) -> Self {
-        Self {
-            arena,
-            dead: None,
-            dead_segments: 0,
-        }
-    }
-
-    /// Live objects in the part.
-    pub fn live_objects(&self) -> usize {
-        self.arena.objects() - self.dead.map_or(0, HashSet::len)
-    }
-
-    /// Live segment sketches in the part.
-    pub fn live_segments(&self) -> usize {
-        self.arena.len() - self.dead_segments
-    }
-}
-
-/// The filtering scan over arena parts: the production scan path.
-///
-/// Walks every part with the arena kernel on the calling thread. Every
-/// segment is compared first; the dead set and `restrict` are consulted
-/// only for segments within the admission limit, and excluded ones are
-/// never offered to a heap. Heap admission is the same total order as
-/// [`filter_candidates`], so the candidate set is identical to it over the
-/// live (and allowed) objects; the statistics count every live object and
-/// segment (see [`FilterStats`]).
+/// Walks the arena with the arena kernel on the calling thread. Every
+/// segment is compared first; `restrict` is consulted only for segments
+/// within the admission limit, and excluded ones are never offered to a
+/// heap. Heap admission is the same total order as [`filter_candidates`],
+/// so the candidate set is identical to it over the (allowed) objects; the
+/// statistics count every object and segment in the arena (see
+/// [`FilterStats`]).
 pub fn filter_candidates_arena(
     query: &SketchedObject,
-    parts: &[ArenaPart<'_>],
+    arena: &SketchArena,
     params: &FilterParams,
     restrict: Option<&HashSet<ObjectId>>,
 ) -> Result<(HashSet<ObjectId>, FilterStats)> {
     let mut scan = FilterScan::new(query, params)?;
-    for part in parts {
-        scan.scan_arena(part, restrict)?;
-    }
+    scan.scan_arena(arena, restrict)?;
     Ok(scan.finish())
 }
 

@@ -43,9 +43,9 @@ pub mod object;
 pub mod parallel;
 pub mod plugin;
 pub mod rank;
-pub mod segment;
 pub mod series;
 pub mod sketch;
+mod storage;
 pub mod telemetry;
 pub mod vector;
 
@@ -66,7 +66,6 @@ pub mod prelude {
     pub use crate::parallel::Parallelism;
     pub use crate::plugin::{Extractor, FileExtractor};
     pub use crate::rank::SearchResult;
-    pub use crate::segment::{IndexLayout, IndexStorage, StorageStats};
     pub use crate::sketch::{BitVec, SketchBuilder, SketchParams, SketchedObject};
     pub use crate::telemetry::{
         Counter, Gauge, Histogram, MetricsRegistry, QueryTrace, StageTrace,

@@ -60,8 +60,6 @@ pub const SERIES: &[SeriesDef] = series![
     "ferret_cache_memory_bytes", G, "Approximate resident size of the result cache.";
     "ferret_cache_misses_total", C, "Result-cache lookups that fell through to the engine.";
     "ferret_commands_total", C, "Protocol commands executed, by command.";
-    "ferret_compaction_seconds", HL, "Latency of segment compaction merges.";
-    "ferret_compactions_total", C, "Segment compaction merges completed.";
     "ferret_fusion_queries_total", C, "Hybrid queries executed, by fusion mode.";
     "ferret_http_request_seconds", HL, "HTTP request latency, by endpoint.";
     "ferret_http_requests_total", C, "HTTP requests served, by endpoint and status.";
@@ -71,7 +69,6 @@ pub const SERIES: &[SeriesDef] = series![
     "ferret_inserts_total", C, "Objects inserted.";
     "ferret_lock_wait_seconds", HL, "Time spent waiting for the service lock, by operation class.";
     "ferret_memory_bytes", G, "Estimated resident bytes, by component (originals, sketches, attr, db_tables, cache, importer).";
-    "ferret_memtable_objects", G, "Objects in the mutable memtable awaiting seal.";
     "ferret_pushdown_queries_total", C, "Filter-stage queries that carried an attribute candidate set.";
     "ferret_pushdown_skipped_total", C, "Objects excluded before heap admission by predicate pushdown.";
     "ferret_queries_total", C, "Similarity queries executed, by mode.";
@@ -83,7 +80,6 @@ pub const SERIES: &[SeriesDef] = series![
     "ferret_query_stage_seconds", HL, "Per-stage query latency, by stage.";
     "ferret_recovery_seconds", GD, "Wall time of each stage of the last cold start (db_open, decode, sketch_index, attrs, importer_state, initial_scan).";
     "ferret_rejected_total", C, "Queries rejected by admission control.";
-    "ferret_segments", G, "Immutable sealed segments in the engine.";
     "ferret_sketch_build_seconds", HL, "Sketch-construction latency per ingest batch.";
     "ferret_sketch_objects_per_sec", G, "Ingest sketch-construction throughput of the most recent batch.";
     "ferret_sketch_objects_total", C, "Objects sketched on the ingest path.";

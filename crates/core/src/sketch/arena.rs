@@ -1,5 +1,5 @@
-//! Flat sketch storage: every segment sketch of one storage part back to
-//! back in one `Vec<u64>`, with a parallel owner column.
+//! Flat sketch storage: every segment sketch of the engine back to back
+//! in one `Vec<u64>`, with a parallel owner column.
 //!
 //! The filtering scan compares every stored segment sketch with a few
 //! query sketches (paper §4.1.1). With one boxed [`BitVec`](crate::sketch::BitVec) per segment
@@ -12,8 +12,8 @@ use crate::error::{CoreError, Result};
 use crate::object::ObjectId;
 use crate::sketch::SketchedObject;
 
-/// All segment sketches of one storage part, `words_per_sketch` words
-/// each, in insertion order. An object's segments are adjacent.
+/// All segment sketches of the engine, `words_per_sketch` words each, in
+/// insertion order. An object's segments are adjacent.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SketchArena {
     nbits: usize,
@@ -58,8 +58,8 @@ impl SketchArena {
     }
 
     /// Removes the segments owned by `id`, if present, by moving the tail
-    /// down: O(segments), which is what the in-place removals of the
-    /// monolithic layout and the memtable already cost.
+    /// down: O(segments), which is what the engine's in-place removal of
+    /// the object's ids already costs.
     pub fn remove(&mut self, id: ObjectId) -> bool {
         let Some(start) = self.owners.iter().position(|&o| o == id) else {
             return false;

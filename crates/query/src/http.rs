@@ -415,44 +415,43 @@ fn serve_one(stream: TcpStream, context: &HttpContext) -> std::io::Result<()> {
     // A malformed request line (missing target, missing or non-HTTP
     // version, or a target that is not an absolute path) gets a proper
     // 400 reply instead of a dropped connection.
-    let well_formed = target.is_some_and(|t| t.starts_with('/'))
-        && version.is_some_and(|v| v.starts_with("HTTP/"));
-    let reply = if !well_formed {
-        http_reply(
+    let well_formed =
+        target.filter(|t| t.starts_with('/') && version.is_some_and(|v| v.starts_with("HTTP/")));
+    let reply = match well_formed {
+        None => http_reply(
             "400 Bad Request",
             "application/json",
             "{\"ok\":false,\"error\":\"malformed request line\"}",
-        )
-    } else if method != "GET" {
-        http_reply(
+        ),
+        Some(_) if method != "GET" => http_reply(
             "405 Method Not Allowed",
             "application/json",
             "{\"ok\":false,\"error\":\"GET only\"}",
-        )
-    } else {
-        let target = target.expect("well-formed request has a target");
-        let registry = service.read().telemetry().cloned();
-        let start = registry.is_some().then(Instant::now);
-        let (status, ctype, body) =
-            route_with(service, Some(&context.admission), context.hold, target);
-        if let (Some(reg), Some(start)) = (registry, start) {
-            let path = target.split_once('?').map_or(target, |(p, _)| p);
-            let endpoint = endpoint_label(path);
-            let code = status.split_whitespace().next().unwrap_or("0");
-            reg.inc_counter(
-                "ferret_http_requests_total",
-                "HTTP requests served, by endpoint and status code.",
-                &[("endpoint", endpoint), ("status", code)],
-                1,
-            );
-            reg.observe_latency(
-                "ferret_http_request_seconds",
-                "HTTP request latency, by endpoint.",
-                &[("endpoint", endpoint)],
-                start.elapsed(),
-            );
+        ),
+        Some(target) => {
+            let registry = service.read().telemetry().cloned();
+            let start = registry.is_some().then(Instant::now);
+            let (status, ctype, body) =
+                route_with(service, Some(&context.admission), context.hold, target);
+            if let (Some(reg), Some(start)) = (registry, start) {
+                let path = target.split_once('?').map_or(target, |(p, _)| p);
+                let endpoint = endpoint_label(path);
+                let code = status.split_whitespace().next().unwrap_or("0");
+                reg.inc_counter(
+                    "ferret_http_requests_total",
+                    "HTTP requests served, by endpoint and status code.",
+                    &[("endpoint", endpoint), ("status", code)],
+                    1,
+                );
+                reg.observe_latency(
+                    "ferret_http_request_seconds",
+                    "HTTP request latency, by endpoint.",
+                    &[("endpoint", endpoint)],
+                    start.elapsed(),
+                );
+            }
+            http_reply(&status, &ctype, &body)
         }
-        http_reply(&status, &ctype, &body)
     };
     writer.write_all(reply.as_bytes())?;
     writer.flush()

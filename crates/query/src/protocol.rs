@@ -102,10 +102,6 @@ pub enum Response {
         sketch_bytes: usize,
         /// Feature-vector metadata bytes.
         feature_bytes: usize,
-        /// Immutable sealed segments (0 for the monolithic layout).
-        index_segments: usize,
-        /// Objects in the mutable memtable (0 for the monolithic layout).
-        memtable_objects: usize,
     },
     /// Help text.
     Help,
@@ -149,11 +145,9 @@ pub fn render_response(resp: &Response) -> String {
             segments,
             sketch_bytes,
             feature_bytes,
-            index_segments,
-            memtable_objects,
         } => {
             format!(
-                "OK 6\nobjects {objects}\nsegments {segments}\nsketch_bytes {sketch_bytes}\nfeature_bytes {feature_bytes}\nindex_segments {index_segments}\nmemtable_objects {memtable_objects}\n"
+                "OK 4\nobjects {objects}\nsegments {segments}\nsketch_bytes {sketch_bytes}\nfeature_bytes {feature_bytes}\n"
             )
         }
         Response::Help => format!("OK help\n{HELP_TEXT}\n"),
@@ -222,10 +216,8 @@ pub fn response_to_json(resp: &Response) -> String {
             segments,
             sketch_bytes,
             feature_bytes,
-            index_segments,
-            memtable_objects,
         } => format!(
-            "{{\"ok\":true,\"objects\":{objects},\"segments\":{segments},\"sketch_bytes\":{sketch_bytes},\"feature_bytes\":{feature_bytes},\"index_segments\":{index_segments},\"memtable_objects\":{memtable_objects}}}"
+            "{{\"ok\":true,\"objects\":{objects},\"segments\":{segments},\"sketch_bytes\":{sketch_bytes},\"feature_bytes\":{feature_bytes}}}"
         ),
         Response::Help => format!("{{\"ok\":true,\"help\":\"{}\"}}", json_escape(HELP_TEXT)),
         Response::Bye | Response::Ok => "{\"ok\":true}".to_string(),
@@ -752,24 +744,21 @@ mod tests {
     }
 
     #[test]
-    fn stat_reply_has_six_fields_in_both_renderings() {
+    fn stat_reply_has_four_fields_in_both_renderings() {
         let resp = Response::Stat {
             objects: 5,
             segments: 12,
             sketch_bytes: 192,
             feature_bytes: 384,
-            index_segments: 2,
-            memtable_objects: 1,
         };
         assert_eq!(
             render_response(&resp),
-            "OK 6\nobjects 5\nsegments 12\nsketch_bytes 192\nfeature_bytes 384\n\
-             index_segments 2\nmemtable_objects 1\n"
+            "OK 4\nobjects 5\nsegments 12\nsketch_bytes 192\nfeature_bytes 384\n"
         );
         assert_eq!(
             response_to_json(&resp),
             "{\"ok\":true,\"objects\":5,\"segments\":12,\"sketch_bytes\":192,\
-             \"feature_bytes\":384,\"index_segments\":2,\"memtable_objects\":1}"
+             \"feature_bytes\":384}"
         );
     }
 

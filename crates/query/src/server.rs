@@ -24,7 +24,7 @@ use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
@@ -85,10 +85,17 @@ impl ConnQueue {
         }
     }
 
+    /// Locks the queue, recovering it from a poisoned lock: the lock is
+    /// held only around a `push_back`/`pop_front`, which a panic cannot
+    /// leave half done.
+    fn lock(&self) -> MutexGuard<'_, VecDeque<TcpStream>> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Enqueues a connection; on a full queue the stream is handed back
     /// so the caller can reject it.
     pub(crate) fn push(&self, stream: TcpStream) -> Result<(), TcpStream> {
-        let mut q = self.queue.lock().expect("queue poisoned");
+        let mut q = self.lock();
         if q.len() >= self.depth {
             return Err(stream);
         }
@@ -104,7 +111,7 @@ impl ConnQueue {
 
     /// Pops the next connection, or `None` once `shutdown` is set.
     pub(crate) fn pop(&self, shutdown: &AtomicBool) -> Option<TcpStream> {
-        let mut q = self.queue.lock().expect("queue poisoned");
+        let mut q = self.lock();
         loop {
             // ordering: Relaxed; flag only ends the wait loop, queue mutex + join order the rest
             if shutdown.load(Ordering::Relaxed) {
@@ -113,11 +120,11 @@ impl ConnQueue {
             if let Some(stream) = q.pop_front() {
                 return Some(stream);
             }
-            let (guard, _) = self
+            q = self
                 .ready
                 .wait_timeout(q, Duration::from_millis(100))
-                .expect("queue poisoned");
-            q = guard;
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
     }
 }

@@ -23,9 +23,8 @@ use ferret_core::engine::{
 use ferret_core::error::CoreError;
 use ferret_core::object::{DataObject, ObjectId};
 use ferret_core::parallel::Parallelism;
-use ferret_core::segment::IndexLayout;
 use ferret_core::telemetry::{MetricsRegistry, QueryTrace, Unit, SIZE_BUCKETS};
-use ferret_store::{Database, DbOptions, SegmentStore, StoreError, Vfs};
+use ferret_store::{Database, DbOptions, StoreError, Vfs};
 
 use crate::cache::ResultCache;
 use crate::fusion::{rank_attr_scores, rrf_fuse, weighted_fuse, FusedHit};
@@ -312,17 +311,6 @@ impl ServiceBuilder {
         // Sketch construction dominates recovery time, so the whole recovered
         // set goes through the batch-parallel insert path.
         engine.insert_batch(recovered)?;
-        if engine.index_layout() == IndexLayout::Segmented {
-            // Segmented engines persist sealed segments alongside the
-            // metadata store, through the same VFS so fault-injection
-            // tests cover the segment manifest-swap protocol too.
-            let vfs: Arc<dyn Vfs> = match &self.vfs {
-                Some(vfs) => Arc::clone(vfs),
-                None => Arc::new(ferret_store::StdVfs),
-            };
-            let store = SegmentStore::open(vfs, &dir.join("segments"))?;
-            engine.attach_segment_persistence(store)?;
-        }
         stage("sketch_index");
         let attrs = AttrStore::load(&db)?;
         stage("attrs");
@@ -578,7 +566,7 @@ impl FerretService {
             if let Err(e) = txn.commit() {
                 // Roll the engine back so memory matches storage.
                 for (id, _, _) in &items {
-                    self.engine.remove(*id).ok();
+                    self.engine.remove(*id);
                 }
                 self.record_store_error("insert_batch");
                 return Err(e.into());
@@ -633,7 +621,7 @@ impl FerretService {
             }
             if let Err(e) = txn.commit() {
                 // Roll the engine back so memory matches storage.
-                self.engine.remove(id).ok();
+                self.engine.remove(id);
                 self.record_store_error("insert");
                 return Err(e.into());
             }
@@ -653,7 +641,7 @@ impl FerretService {
     /// Removes an object and its attributes.
     pub fn remove(&mut self, id: ObjectId) -> Result<bool, ServiceError> {
         self.cache.bump_epoch();
-        let present = self.engine.remove(id)?;
+        let present = self.engine.remove(id);
         if let Some(db) = self.db.as_mut() {
             let mut txn = db.begin();
             txn.delete(FEATURES_TABLE, &id.0.to_le_bytes());
@@ -710,22 +698,6 @@ impl FerretService {
             }
         }
         Ok(())
-    }
-
-    /// Applies finished background compactions and schedules any due
-    /// segment maintenance, without blocking on it. A no-op for
-    /// monolithic engines. Results are bit-identical across compactions,
-    /// so the result-cache epoch is deliberately left alone — cached
-    /// replies stay valid.
-    pub fn maintain(&mut self) -> Result<(), ServiceError> {
-        Ok(self.engine.maintain()?)
-    }
-
-    /// Runs segment compaction to quiescence inline (monolithic engines
-    /// rebuild their index stop-the-world). Epoch-neutral for the result
-    /// cache: compaction never changes query results.
-    pub fn compact(&mut self) -> Result<(), ServiceError> {
-        Ok(self.engine.compact()?)
     }
 
     /// Checkpoints the metadata store (persistent services only).
@@ -928,14 +900,11 @@ impl FerretService {
             }
             Command::Stat => {
                 let fp = self.engine.metadata_footprint();
-                let st = self.engine.storage_stats();
                 Ok(Response::Stat {
                     objects: self.engine.len(),
                     segments: fp.segments,
                     sketch_bytes: fp.sketch_bytes,
                     feature_bytes: fp.feature_vector_bytes,
-                    index_segments: st.sealed_segments,
-                    memtable_objects: st.memtable_objects,
                 })
             }
             Command::Help => Ok(Response::Help),
@@ -1122,6 +1091,34 @@ mod tests {
         let out = svc.execute_line("attr tag:keep");
         assert_eq!(out, "OK 1\n1\n");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Regression for the retune config-drop bug: the replacement engine
+    /// used to be built from a minimal config that silently reset every
+    /// knob added after the original fields.
+    #[test]
+    fn retune_preserves_the_full_engine_config() {
+        let mut config = config();
+        config.ranking = ferret_core::engine::RankingMethod::GreedyEmd;
+        config.parallelism = Parallelism::Threads(2);
+        let mut svc = FerretService::in_memory(config).unwrap();
+        for i in 0..12u64 {
+            svc.insert(ObjectId(i), obj(0.05 + 0.07 * i as f32), None)
+                .unwrap();
+        }
+        svc.retune_sketches(96, 2, 17).unwrap();
+        let engine = svc.engine();
+        assert_eq!(engine.len(), 12, "retune must carry every object over");
+        assert_eq!(engine.config().seed, 17);
+        assert_eq!(engine.sketch_builder().nbits(), 96);
+        assert!(
+            matches!(
+                engine.config().ranking,
+                ferret_core::engine::RankingMethod::GreedyEmd
+            ),
+            "retune dropped the ranking method"
+        );
+        assert_eq!(engine.parallelism(), Parallelism::Threads(2));
     }
 
     #[test]

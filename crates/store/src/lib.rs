@@ -32,7 +32,6 @@ pub mod codec;
 pub mod crc;
 pub mod db;
 pub mod error;
-pub mod segment;
 pub mod snapshot;
 pub mod table;
 pub mod vfs;
@@ -40,7 +39,6 @@ pub mod wal;
 
 pub use db::{Database, DbOptions, Durability, Transaction};
 pub use error::{Result, StoreError};
-pub use segment::{LoadedSegment, SegmentRecord, SegmentStore};
 pub use table::Table;
-pub use vfs::{FaultPlan, FaultVfs, StdVfs, Vfs, VfsFile};
+pub use vfs::{sweep_crash_points, CrashPoint, FaultPlan, FaultVfs, StdVfs, Vfs, VfsFile};
 pub use wal::{Batch, Op, Wal};

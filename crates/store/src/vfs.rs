@@ -21,9 +21,9 @@
 //! suffixes survive only as a seeded prefix (possibly with one corrupted
 //! byte — CRCs must catch it); file names created without a parent
 //! directory fsync may vanish entirely; renames not followed by a directory
-//! fsync may be undone. The crash-point harness in
-//! `crates/store/tests/crash_points.rs` drives whole workloads through this
-//! model, once per recorded event index.
+//! fsync may be undone. [`sweep_crash_points`] drives a whole workload
+//! through this model, once per recorded event index; the store's and the
+//! attribute store's crash-point tests are built on it.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -778,6 +778,76 @@ impl FaultFile {
             .insert(self.path.clone(), content);
         Ok(())
     }
+}
+
+// ----------------------------------------------------------------- sweep --
+
+/// One replay of a crash-point sweep: a simulated power loss at mutation
+/// event `event`, under the seeded or the worst-case crash model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CrashPoint {
+    /// The mutation-event index the power loss hits.
+    pub event: u64,
+    /// True for [`FaultVfs::crash_worst_case`], false for [`FaultVfs::crash`].
+    pub worst_case: bool,
+}
+
+impl std::fmt::Display for CrashPoint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "point {} worst={}", self.event, self.worst_case)
+    }
+}
+
+/// The crash-point harness: runs `workload` once per mutation event it
+/// performs, with a power loss at that event, and hands every crashed
+/// directory to `check`.
+///
+/// Pass 1 runs `workload` under a no-fault [`FaultVfs`] in `<base>/clean`
+/// and calls `check` with no crash point; its recorded events are the
+/// crash-point space. Pass 2 replays `workload` once per event index and
+/// crash model, each in a fresh directory under `base`, over
+/// [`FaultPlan::crash_at`] that index (seeded from `seed`, the index and
+/// the model), applies the model, and calls `check` with the crash point,
+/// the directory and the workload's outcome; `check` reopens the directory
+/// and asserts on what was recovered. Every directory is removed after its
+/// check. Returns the number of crash points per model.
+///
+/// Panics if the fault-free run injects a fault, if a replay's fault never
+/// fires, or if a crash model cannot be applied.
+pub fn sweep_crash_points<T>(
+    base: &Path,
+    seed: u64,
+    mut workload: impl FnMut(Arc<dyn Vfs>, &Path) -> T,
+    mut check: impl FnMut(Option<CrashPoint>, &Path, T),
+) -> u64 {
+    let fault = FaultVfs::new(Arc::new(StdVfs), FaultPlan::default());
+    let clean = base.join("clean");
+    let outcome = workload(Arc::new(fault.clone()), &clean);
+    // Events emitted while the workload drops its store (buffered records
+    // flushed on drop) are counted too: the workload has returned.
+    let events = fault.fault_points();
+    assert!(!fault.tripped(), "the fault-free run injected a fault");
+    check(None, &clean, outcome);
+    std::fs::remove_dir_all(&clean).ok();
+    for event in 0..events {
+        for worst_case in [false, true] {
+            let point = CrashPoint { event, worst_case };
+            let dir = base.join(format!("p{event}-{}", u8::from(worst_case)));
+            let plan = FaultPlan::crash_at(event, seed ^ (event << 1) ^ u64::from(worst_case));
+            let fault = FaultVfs::new(Arc::new(StdVfs), plan);
+            let outcome = workload(Arc::new(fault.clone()), &dir);
+            assert!(fault.tripped(), "{point}: no injected fault");
+            let crashed = if worst_case {
+                fault.crash_worst_case()
+            } else {
+                fault.crash()
+            };
+            assert!(crashed.is_ok(), "{point}: crash model failed: {crashed:?}");
+            check(Some(point), &dir, outcome);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+    events
 }
 
 #[cfg(test)]

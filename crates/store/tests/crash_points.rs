@@ -1,15 +1,16 @@
 //! Exhaustive crash-point recovery harness.
 //!
-//! For each scripted workload (WAL-only, checkpoint-heavy, buffered), pass 1
-//! records every mutation I/O event under a no-fault [`FaultVfs`]. Pass 2
-//! then replays the workload once per recorded event index with a plan that
-//! simulates power loss at exactly that event — twice per index, once with
-//! the seeded crash model and once with the worst legal outcome (all
-//! unsynced bytes, names, and renames lost). After every crash the store is
-//! reopened with the plain filesystem and its recovered contents must equal
-//! *some* prefix of the committed transactions (no partial transaction, no
-//! reordering) at or past the durable floor — the last transaction whose
-//! durability the API promised via a successful fsyncing operation.
+//! For each scripted workload (WAL-only, checkpoint-heavy, buffered),
+//! [`sweep_crash_points`] records every mutation I/O event under a no-fault
+//! [`FaultVfs`], then replays the workload once per recorded event index
+//! with a plan that simulates power loss at exactly that event — twice per
+//! index, once with the seeded crash model and once with the worst legal
+//! outcome (all unsynced bytes, names, and renames lost). After every crash
+//! the store is reopened with the plain filesystem and its recovered
+//! contents must equal *some* prefix of the committed transactions (no
+//! partial transaction, no reordering) at or past the durable floor — the
+//! last transaction whose durability the API promised via a successful
+//! fsyncing operation.
 //!
 //! Every transaction writes a monotone `meta/txn_count` cell, so all
 //! prefixes are pairwise distinct and "equals some prefix" identifies the
@@ -19,7 +20,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use ferret_store::vfs::{FaultPlan, FaultVfs, StdVfs, Vfs};
+use ferret_store::vfs::{sweep_crash_points, FaultPlan, FaultVfs, StdVfs, Vfs};
 use ferret_store::{Database, DbOptions, Durability};
 
 /// Logical store contents: table → key → value, empty tables dropped.
@@ -235,63 +236,46 @@ fn sweep(name: &str, options: DbOptions, steps: &[Step]) -> u64 {
     let base = tmpdir(name);
     let total_txns = steps.iter().filter(|s| matches!(s, Step::Txn(_))).count() as u64;
     let prefixes = prefix_models(steps);
-
-    // Pass 1: record the full event trace of a fault-free run.
-    let fault = FaultVfs::new(Arc::new(StdVfs), FaultPlan::default());
-    let clean_dir = base.join("clean");
-    let outcome = run_workload(Arc::new(fault.clone()), &clean_dir, options, steps);
-    assert!(!outcome.failed, "[{name}] fault-free run failed");
-    assert_eq!(outcome.txns_done, total_txns);
-    // Include events emitted while dropping the store (the WAL flushes
-    // buffered records on drop): run_workload has already dropped it.
-    let total_events = fault.fault_points();
-    assert!(!fault.tripped());
-    assert_eq!(read_state(&clean_dir), prefixes[total_txns as usize]);
-
-    // Pass 2: crash at every event index, under both crash models.
-    for point in 0..total_events {
-        for worst_case in [false, true] {
-            let dir = base.join(format!("p{point}-{}", u8::from(worst_case)));
-            let seed = 0xd6e8_feb8_6659_fd93u64 ^ (point << 1) ^ u64::from(worst_case);
-            let fault = FaultVfs::new(Arc::new(StdVfs), FaultPlan::crash_at(point, seed));
-            let outcome = run_workload(Arc::new(fault.clone()), &dir, options, steps);
+    let total_events = sweep_crash_points(
+        &base,
+        0xd6e8_feb8_6659_fd93,
+        |vfs, dir| run_workload(vfs, dir, options, steps),
+        |point, dir, outcome| {
+            let Some(point) = point else {
+                assert!(!outcome.failed, "[{name}] fault-free run failed");
+                assert_eq!(outcome.txns_done, total_txns);
+                assert_eq!(read_state(dir), prefixes[total_txns as usize]);
+                return;
+            };
             // The crash fires mid-workload, except at the tail where only
             // the drop-time flush is interrupted.
             assert!(
                 outcome.failed || outcome.txns_done == total_txns,
-                "[{name}] point {point}: crash did not fire"
+                "[{name}] {point}: crash did not fire"
             );
-            assert!(fault.tripped(), "[{name}] point {point}: no injected fault");
-            if worst_case {
-                fault.crash_worst_case().unwrap();
-            } else {
-                fault.crash().unwrap();
-            }
-            let recovered = read_state(&dir);
+            let recovered = read_state(dir);
             let k = prefixes.iter().position(|p| *p == recovered);
             let k = k.unwrap_or_else(|| {
                 panic!(
-                    "[{name}] point {point} worst={worst_case}: recovered state \
-                     is not a committed prefix (txns_done={}, floor={})",
+                    "[{name}] {point}: recovered state is not a committed prefix \
+                     (txns_done={}, floor={})",
                     outcome.txns_done, outcome.durable_floor
                 )
             });
             assert!(
                 k as u64 >= outcome.durable_floor,
-                "[{name}] point {point} worst={worst_case}: recovered prefix {k} \
-                 below durable floor {}",
+                "[{name}] {point}: recovered prefix {k} below durable floor {}",
                 outcome.durable_floor
             );
             assert!(
                 k as u64 <= outcome.txns_done + outcome.in_flight,
-                "[{name}] point {point} worst={worst_case}: recovered prefix {k} \
-                 beyond committed count {} (+{} in flight)",
+                "[{name}] {point}: recovered prefix {k} beyond committed count {} \
+                 (+{} in flight)",
                 outcome.txns_done,
                 outcome.in_flight
             );
-            std::fs::remove_dir_all(&dir).ok();
-        }
-    }
+        },
+    );
     std::fs::remove_dir_all(&base).ok();
     total_events
 }

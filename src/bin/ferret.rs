@@ -30,7 +30,6 @@ use ferret::core::engine::EngineConfig;
 use ferret::core::error::CoreError;
 use ferret::core::object::{DataObject, ObjectId};
 use ferret::core::parallel::Parallelism;
-use ferret::core::segment::IndexLayout;
 use ferret::core::sketch::SketchParams;
 use ferret::core::telemetry::MetricsRegistry;
 use ferret::datatypes::generic::FvecExtractor;
@@ -53,9 +52,6 @@ struct Options {
     http: String,
     scan_interval: u64,
     threads: Parallelism,
-    index_layout: IndexLayout,
-    memtable_size: usize,
-    compaction: bool,
     workers: Option<usize>,
     max_inflight: Option<usize>,
     cache_capacity: usize,
@@ -66,7 +62,7 @@ struct Options {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  ferret serve  --db <dir> --watch <dir> --dim <D> [--bits N] [--k K]\n                [--tcp addr] [--http addr] [--scan-interval secs]\n                [--threads N|auto|serial] [--workers N] [--max-inflight N]\n                [--cache-capacity N] [--no-telemetry]\n                [--index-layout monolithic|segmented]\n                [--memtable-size N] [--compaction on|off]\n  ferret import --db <dir> --watch <dir> --dim <D> [--bits N] [--k K]\n                [--threads N|auto|serial]\n  ferret retune --db <dir> --dim <D> [--bits N] [--k K]\n  ferret query  --addr <host:port> <command ...>"
+        "usage:\n  ferret serve  --db <dir> --watch <dir> --dim <D> [--bits N] [--k K]\n                [--tcp addr] [--http addr] [--scan-interval secs]\n                [--threads N|auto|serial] [--workers N] [--max-inflight N]\n                [--cache-capacity N] [--no-telemetry]\n  ferret import --db <dir> --watch <dir> --dim <D> [--bits N] [--k K]\n                [--threads N|auto|serial]\n  ferret retune --db <dir> --dim <D> [--bits N] [--k K]\n  ferret query  --addr <host:port> <command ...>"
     );
     std::process::exit(2);
 }
@@ -82,9 +78,6 @@ fn parse_options(args: &[String]) -> Options {
         http: "127.0.0.1:8080".to_string(),
         scan_interval: 5,
         threads: Parallelism::Auto,
-        index_layout: IndexLayout::Monolithic,
-        memtable_size: ferret::core::engine::DEFAULT_MEMTABLE_SIZE,
-        compaction: true,
         workers: None,
         max_inflight: None,
         cache_capacity: 128,
@@ -130,22 +123,6 @@ fn parse_options(args: &[String]) -> Options {
             }
             "--threads" => {
                 opts.threads = parse_threads(need(i)).unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--index-layout" => {
-                opts.index_layout = need(i).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
-            "--memtable-size" => {
-                opts.memtable_size = need(i).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
-            "--compaction" => {
-                opts.compaction = match need(i).as_str() {
-                    "on" => true,
-                    "off" => false,
-                    _ => usage(),
-                };
                 i += 2;
             }
             "--workers" => {
@@ -249,9 +226,6 @@ fn open_service(opts: &Options) -> FerretService {
     });
     let mut config = EngineConfig::basic(params, ENGINE_SEED);
     config.parallelism = opts.threads;
-    config.index_layout = opts.index_layout;
-    config.memtable_size = opts.memtable_size;
-    config.compaction = opts.compaction;
     let built = FerretService::builder(config)
         .db_options(DbOptions::default())
         .cache_capacity(opts.cache_capacity)
@@ -459,16 +433,7 @@ fn cmd_serve(opts: &Options) {
 
     loop {
         std::thread::sleep(std::time::Duration::from_secs(opts.scan_interval.max(1)));
-        let changed = {
-            let mut svc = service.write();
-            // Apply finished background compactions and schedule any due
-            // segment maintenance even when no files changed, so the
-            // segmented layout makes progress on an idle ingest path.
-            if let Err(e) = svc.maintain() {
-                eprintln!("warning: segment maintenance failed: {e}");
-            }
-            scan_once(&mut svc, &mut importer)
-        };
+        let changed = scan_once(&mut service.write(), &mut importer);
         if changed > 0 {
             println!("scan: {changed} changes applied");
             if let Some(reg) = &registry {
@@ -512,6 +477,13 @@ fn main() {
         usage()
     };
     let opts = parse_options(&args[1..]);
+    // Only `query` takes free arguments (the protocol command); anywhere
+    // else an unrecognised argument is a mistyped or removed flag, which
+    // must not silently fall back to a default.
+    if subcommand != "query" && !opts.rest.is_empty() {
+        eprintln!("error: unrecognised arguments: {}", opts.rest.join(" "));
+        usage();
+    }
     match subcommand.as_str() {
         "serve" => cmd_serve(&opts),
         "import" => cmd_import(&opts),

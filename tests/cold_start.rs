@@ -18,7 +18,6 @@ use ferret::core::engine::EngineConfig;
 use ferret::core::error::CoreError;
 use ferret::core::object::{DataObject, ObjectId};
 use ferret::core::parallel::Parallelism;
-use ferret::core::segment::IndexLayout;
 use ferret::core::sketch::SketchParams;
 use ferret::core::telemetry::MetricsRegistry;
 use ferret::core::vector::FeatureVector;
@@ -46,7 +45,7 @@ fn db_opts() -> DbOptions {
 }
 
 /// What `ferret serve` opens with: ranges far wider than any data.
-fn wide(layout: IndexLayout) -> ServiceBuilder {
+fn wide() -> ServiceBuilder {
     let params = SketchParams::with_options(
         NBITS,
         XOR_FOLDS,
@@ -56,10 +55,7 @@ fn wide(layout: IndexLayout) -> ServiceBuilder {
     )
     .unwrap();
     let mut config = EngineConfig::basic(params, SEED);
-    config.index_layout = layout;
     config.parallelism = Parallelism::Serial;
-    config.memtable_size = 4;
-    config.compaction = false;
     FerretService::builder(config).db_options(db_opts())
 }
 
@@ -123,13 +119,11 @@ proptest! {
     #[test]
     fn a_range_widening_insert_answers_the_same_after_a_restart(
         corpus in corpus_strategy(),
-        layout_idx in 0usize..2,
         widen in 4.5f32..10.0,
     ) {
-        let layout = [IndexLayout::Monolithic, IndexLayout::Segmented][layout_idx];
-        let dir = tmpdir(&format!("restart-{layout_idx}"));
+        let dir = tmpdir("restart");
         let seen = {
-            let mut svc = wide(layout).open(&dir).unwrap();
+            let mut svc = wide().open(&dir).unwrap();
             let items = corpus.iter().map(|(id, o)| (*id, o.clone(), None)).collect();
             svc.insert_batch(items).unwrap();
             svc.retune_sketches(NBITS, XOR_FOLDS, SEED).unwrap();
@@ -139,11 +133,11 @@ proptest! {
             // commit durable.
             observe(&mut svc)
         };
-        let mut reopened = wide(layout).open(&dir).unwrap();
+        let mut reopened = wide().open(&dir).unwrap();
         prop_assert!(reopened.calibrated());
         // Recovery order is key order, not the order this process
         // inserted in; everything after it must agree.
-        prop_assert_eq!(&observe(&mut reopened)[1..], &seen[1..], "{:?}", layout);
+        prop_assert_eq!(&observe(&mut reopened)[1..], &seen[1..]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -210,7 +204,7 @@ fn mixed_dimension_table_is_reported_by_the_insert_not_the_derive() {
     let dir = tmpdir("mixed-dim");
     let other = DataObject::single(FeatureVector::new(vec![0.1, 0.2]).unwrap());
     write_features(&dir, &[(1, point(0.3)), (2, other)]);
-    let err = wide(IndexLayout::Monolithic).open(&dir).err();
+    let err = wide().open(&dir).err();
     let err = err.expect("a mixed table fails the open").to_string();
     assert!(err.contains("dimension"), "{err}");
 
@@ -219,7 +213,7 @@ fn mixed_dimension_table_is_reported_by_the_insert_not_the_derive() {
     let dir2 = tmpdir("other-dim");
     let pair = |x: f32| DataObject::single(FeatureVector::new(vec![x, -x]).unwrap());
     write_features(&dir2, &[(1, pair(0.1)), (2, pair(0.9))]);
-    let err = wide(IndexLayout::Monolithic).open(&dir2).err();
+    let err = wide().open(&dir2).err();
     let err = err.expect("wrong --dim still fails the open").to_string();
     assert!(err.contains("dimension"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
@@ -230,7 +224,7 @@ fn mixed_dimension_table_is_reported_by_the_insert_not_the_derive() {
 fn a_record_of_another_dimensionality_fails_the_open() {
     let dir = tmpdir("record-dim");
     {
-        let mut svc = wide(IndexLayout::Monolithic).open(&dir).unwrap();
+        let mut svc = wide().open(&dir).unwrap();
         svc.insert(ObjectId(1), point(0.2), None).unwrap();
         svc.insert(ObjectId(2), point(0.7), None).unwrap();
         svc.retune_sketches(NBITS, XOR_FOLDS, SEED).unwrap();
@@ -267,7 +261,7 @@ fn a_store_without_a_record_is_calibrated_once() {
         .collect();
     // A feature table and no record: a store written before records.
     write_features(&dir, &corpus);
-    let configured = wide(IndexLayout::Monolithic).open(&dir).unwrap();
+    let configured = wide().open(&dir).unwrap();
     let wide_params = configured.engine().sketch_builder().params().clone();
     assert!(!configured.calibrated());
     assert_eq!(wide_params.mins, vec![-1000.0; DIM]);
@@ -275,7 +269,7 @@ fn a_store_without_a_record_is_calibrated_once() {
 
     // Another seed than the configured one: the reopen must take the
     // stored seed, not the configuration's.
-    let mut svc = wide(IndexLayout::Monolithic).open(&dir).unwrap();
+    let mut svc = wide().open(&dir).unwrap();
     svc.retune_sketches(NBITS, XOR_FOLDS, SEED + 1).unwrap();
     assert!(svc.calibrated());
     let tuned = observe(&mut svc);
@@ -293,10 +287,7 @@ fn a_store_without_a_record_is_calibrated_once() {
     // The reopen reads the record: every object is sketched exactly once,
     // under the stored parameters, and nothing derives again.
     let registry = Arc::new(MetricsRegistry::new());
-    let mut reopened = wide(IndexLayout::Monolithic)
-        .telemetry(Arc::clone(&registry))
-        .open(&dir)
-        .unwrap();
+    let mut reopened = wide().telemetry(Arc::clone(&registry)).open(&dir).unwrap();
     assert!(reopened.calibrated());
     assert_eq!(sketched_total(&registry), corpus.len() as u64);
     assert_eq!(observe(&mut reopened), tuned);
@@ -310,7 +301,7 @@ fn a_failed_derive_leaves_the_engine_and_the_record_untouched() {
     let dir = tmpdir("underivable");
     let flat = object(&[(vec![1.0e9; DIM], 1.0)]);
     write_features(&dir, &[(1, flat.clone()), (2, flat)]);
-    let mut svc = wide(IndexLayout::Monolithic).open(&dir).unwrap();
+    let mut svc = wide().open(&dir).unwrap();
     let before = observe(&mut svc);
     let why = svc.retune_sketches(NBITS, XOR_FOLDS, SEED).unwrap_err();
     assert!(why.to_string().contains("zero range"), "{why}");
@@ -322,7 +313,7 @@ fn a_failed_derive_leaves_the_engine_and_the_record_untouched() {
     // A calibrated store emptied of its objects keeps its record when
     // the next derive finds nothing to derive from.
     let dir2 = tmpdir("emptied");
-    let mut svc = wide(IndexLayout::Monolithic).open(&dir2).unwrap();
+    let mut svc = wide().open(&dir2).unwrap();
     svc.insert(ObjectId(1), point(0.2), None).unwrap();
     svc.insert(ObjectId(2), point(0.6), None).unwrap();
     svc.retune_sketches(NBITS, XOR_FOLDS, SEED).unwrap();
@@ -341,7 +332,7 @@ fn a_failed_derive_leaves_the_engine_and_the_record_untouched() {
 #[test]
 fn a_range_widening_insert_is_counted_and_moves_no_other_sketch() {
     let dir = tmpdir("out-of-range");
-    let mut svc = wide(IndexLayout::Monolithic).open(&dir).unwrap();
+    let mut svc = wide().open(&dir).unwrap();
     let items = (0..8u64)
         .map(|i| (ObjectId(i), point(i as f32 / 8.0), None))
         .collect();

@@ -5,10 +5,9 @@
 //! as the per-object reference scan (`filter_candidates`) over the same
 //! live (and allowed) objects, with statistics that count every live object
 //! and segment — for every sketch width, threshold, attenuation, pushdown
-//! set, and split into parts with pending removals; and an engine driven
-//! through random insert/remove/seal/compact/re-insert scripts in both
-//! layouts serves exactly the reference candidates and counts the objects
-//! its pushdown set skipped.
+//! set, and set of removals; and an engine driven through random
+//! insert/remove/re-insert scripts serves exactly the reference candidates
+//! and counts the objects its pushdown set skipped.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -16,12 +15,9 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use ferret::core::engine::{QueryMode, QueryOptions, SearchEngine};
-use ferret::core::filter::{
-    filter_candidates, filter_candidates_arena, ArenaPart, FilterParams, FilterStats,
-};
+use ferret::core::filter::{filter_candidates, filter_candidates_arena, FilterParams, FilterStats};
 use ferret::core::object::{DataObject, ObjectId};
 use ferret::core::parallel::Parallelism;
-use ferret::core::segment::IndexLayout;
 use ferret::core::sketch::{BitVec, SketchArena, SketchParams, SketchedObject};
 use ferret::core::telemetry::MetricsRegistry;
 use ferret::core::vector::FeatureVector;
@@ -69,10 +65,9 @@ fn sketched(nbits: usize, palette: &[u64; 4], raw: &RawObject) -> SketchedObject
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The corpus is split into parts at random cut points; parts other
-    /// than the last carry a random dead set (a sealed segment's pending
-    /// removals). The kernel must equal the reference scan over the live
-    /// objects.
+    /// The whole corpus is pushed into one arena and a random subset is
+    /// removed from it again. The kernel must equal the reference scan
+    /// over the live objects.
     #[test]
     fn arena_kernel_equals_reference_scan(
         width in 0usize..WIDTHS.len(),
@@ -80,8 +75,7 @@ proptest! {
             .prop_map(|(a, b, c, d)| [a, b, c, d]),
         raw in prop::collection::vec(raw_object(), 1..40),
         query_raw in raw_object(),
-        cuts in prop::collection::vec(any::<u8>(), 0..4),
-        dead_mask in prop::collection::vec(any::<bool>(), 40),
+        removed_mask in prop::collection::vec(any::<bool>(), 40),
         restrict_on in any::<bool>(),
         restrict_mask in prop::collection::vec(any::<bool>(), 40),
         query_segments in 1usize..4,
@@ -106,43 +100,16 @@ proptest! {
                 .collect()
         });
 
-        // Split into parts; every part but the last (the memtable) may
-        // hold dead objects.
-        let mut bounds: Vec<usize> = cuts.iter().map(|&c| usize::from(c) % objects.len()).collect();
-        bounds.extend([0, objects.len()]);
-        bounds.sort_unstable();
-        bounds.dedup();
-        let mut arenas = Vec::new();
-        let mut deads = Vec::new();
-        for (p, span) in bounds.windows(2).enumerate() {
-            let last = p + 2 == bounds.len();
-            let mut arena = SketchArena::new(nbits);
-            let mut dead = HashSet::new();
-            for i in span[0]..span[1] {
-                arena.push(ObjectId(i as u64), &objects[i]).unwrap();
-                if !last && dead_mask[i] {
-                    dead.insert(ObjectId(i as u64));
-                }
-            }
-            arenas.push(arena);
-            deads.push(dead);
+        let mut arena = SketchArena::new(nbits);
+        for (i, so) in objects.iter().enumerate() {
+            arena.push(ObjectId(i as u64), so).unwrap();
         }
-        let parts: Vec<ArenaPart<'_>> = arenas
-            .iter()
-            .zip(&deads)
-            .map(|(arena, dead)| ArenaPart {
-                arena,
-                dead: (!dead.is_empty()).then_some(dead),
-                dead_segments: dead
-                    .iter()
-                    .map(|id| objects[id.0 as usize].num_segments())
-                    .sum(),
-            })
-            .collect();
+        for i in (0..objects.len()).filter(|&i| removed_mask[i]) {
+            prop_assert!(arena.remove(ObjectId(i as u64)));
+        }
 
-        let is_dead = |i: usize| deads.iter().any(|d| d.contains(&ObjectId(i as u64)));
         let live: Vec<(ObjectId, &SketchedObject)> = (0..objects.len())
-            .filter(|&i| !is_dead(i))
+            .filter(|&i| !removed_mask[i])
             .map(|i| (ObjectId(i as u64), &objects[i]))
             .collect();
         let allowed: Vec<(ObjectId, &SketchedObject)> = live
@@ -161,7 +128,7 @@ proptest! {
         }
 
         let (got, stats) =
-            filter_candidates_arena(&query, &parts, &params, restrict.as_ref()).unwrap();
+            filter_candidates_arena(&query, &arena, &params, restrict.as_ref()).unwrap();
         prop_assert_eq!(&got, &expect);
         prop_assert_eq!(stats, expect_stats);
     }
@@ -188,33 +155,26 @@ fn quantised_object(seed: u64, i: u64, segments: u64) -> DataObject {
 enum Op {
     Insert(u64),
     Remove(u64),
-    Seal,
-    Compact,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0usize..8, 0u64..40).prop_map(|(kind, i)| match kind {
+    (0usize..6, 0u64..40).prop_map(|(kind, i)| match kind {
         0..=3 => Op::Insert(i),
-        4 | 5 => Op::Remove(i),
-        6 => Op::Seal,
-        _ => Op::Compact,
+        _ => Op::Remove(i),
     })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random insert/remove/seal/compact scripts (re-inserts included:
-    /// an id may come back with a new payload after its removal) in both
-    /// layouts: the served candidate set — every candidate, as `k` exceeds
+    /// Random insert/remove scripts (re-inserts included: an id may come
+    /// back with a new payload after its removal): the served candidate set — every candidate, as `k` exceeds
     /// the corpus — equals the reference scan over the engine's live
     /// objects, and the scan's statistics equal the reference's.
     #[test]
     fn engine_serves_reference_candidates_after_any_script(
         ops in prop::collection::vec(op_strategy(), 1..60),
         width in 0usize..WIDTHS.len(),
-        segmented in any::<bool>(),
-        memtable in 1usize..5,
         cand in 1usize..6,
         threshold in prop_oneof![Just(None), (0u32..60).prop_map(Some)],
         restrict_on in any::<bool>(),
@@ -222,13 +182,9 @@ proptest! {
         seed in 0u64..64,
     ) {
         let nbits = WIDTHS[width];
-        let layout = if segmented { IndexLayout::Segmented } else { IndexLayout::Monolithic };
         let params = SketchParams::new(nbits, vec![0.0; 3], vec![1.0; 3]).unwrap();
         let registry = Arc::new(MetricsRegistry::new());
         let mut engine = SearchEngine::builder(params, seed)
-            .index_layout(layout)
-            .memtable_size(memtable)
-            .compaction(false)
             .parallelism(Parallelism::Threads(3))
             .telemetry(Some(Arc::clone(&registry)))
             .build()
@@ -244,10 +200,8 @@ proptest! {
                     }
                 }
                 Op::Remove(i) => {
-                    engine.remove(ObjectId(*i)).unwrap();
+                    engine.remove(ObjectId(*i));
                 }
-                Op::Seal => engine.seal().unwrap(),
-                Op::Compact => engine.compact().unwrap(),
             }
         }
         let filter = FilterParams {
@@ -286,7 +240,7 @@ proptest! {
         }
         let resp = engine.query(&query, &opts).unwrap();
         let served: HashSet<ObjectId> = resp.results.iter().map(|r| r.id).collect();
-        prop_assert_eq!(&served, &expect, "{}", layout);
+        prop_assert_eq!(&served, &expect);
         prop_assert_eq!(resp.stats.distance_evals, reference.candidates);
         // The pushdown counter: live objects outside the restrict set,
         // removed and never-inserted ids in the set not counted.
@@ -309,27 +263,16 @@ proptest! {
     }
 }
 
-/// The sketch arenas are part of the sketch memory account in both
-/// layouts, before and after seals and compactions.
+/// The sketch arena is part of the sketch memory account.
 #[test]
 fn arenas_are_counted_in_the_sketch_memory_account() {
-    for layout in [IndexLayout::Monolithic, IndexLayout::Segmented] {
-        let params = SketchParams::new(128, vec![0.0; 3], vec![1.0; 3]).unwrap();
-        let mut engine = SearchEngine::builder(params, 5)
-            .index_layout(layout)
-            .memtable_size(4)
-            .compaction(false)
-            .build()
+    let params = SketchParams::new(128, vec![0.0; 3], vec![1.0; 3]).unwrap();
+    let mut engine = SearchEngine::builder(params, 5).build().unwrap();
+    for i in 0..30u64 {
+        engine
+            .insert(ObjectId(i), quantised_object(5, i, 2))
             .unwrap();
-        for i in 0..30u64 {
-            engine
-                .insert(ObjectId(i), quantised_object(5, i, 2))
-                .unwrap();
-        }
-        // 60 segment sketches of 16 bytes each, at least once in an arena.
-        assert!(engine.memory_estimate().sketches >= 60 * 16, "{layout}");
-        engine.seal().unwrap();
-        engine.compact().unwrap();
-        assert!(engine.memory_estimate().sketches >= 60 * 16, "{layout}");
     }
+    // 60 segment sketches of 16 bytes each, at least once in the arena.
+    assert!(engine.memory_estimate().sketches >= 60 * 16);
 }
