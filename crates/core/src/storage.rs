@@ -55,18 +55,6 @@ impl Storage {
         &self.order
     }
 
-    /// Every live record in insertion order.
-    pub(crate) fn live_refs(&self) -> Vec<(ObjectId, &SketchedObject, Option<&DataObject>)> {
-        self.order
-            .iter()
-            .filter_map(|id| {
-                self.sketches
-                    .get(id)
-                    .map(|so| (*id, so, self.objects.get(id)))
-            })
-            .collect()
-    }
-
     /// Every live segment sketch, back to back: what the filter scans.
     pub(crate) fn arena(&self) -> &SketchArena {
         &self.arena

@@ -17,7 +17,7 @@ const RULE: &str = "strategy-enum-parity";
 /// `(enum name, defining file)` pairs under contract.
 pub const ENUMS: &[(&str, &str)] = &[
     ("Parallelism", "crates/core/src/parallel.rs"),
-    ("FusionMode", "crates/core/src/engine.rs"),
+    ("FusionMode", "crates/query/src/fusion.rs"),
 ];
 
 /// Files whose raw text constitutes "the CLI help" (usage strings and the

@@ -285,7 +285,7 @@ fn parity_files(fusion_display: &str) -> Vec<(&'static str, String)> {
             enum_src("Parallelism", "serial", "serial"),
         ),
         (
-            "crates/core/src/engine.rs",
+            "crates/query/src/fusion.rs",
             enum_src("FusionMode", fusion_display, "rrf"),
         ),
         (

@@ -19,7 +19,74 @@
 use std::collections::HashMap;
 
 use ferret_core::engine::similarity_from_distance;
+use ferret_core::error::CoreError;
 use ferret_core::object::ObjectId;
+
+/// How a hybrid query blends the attribute-match ranking with the
+/// similarity (EMD) ranking.
+///
+/// The engine never fuses — it has no attribute index. The service owns
+/// both rankings and takes the mode from the `query` command. Both modes
+/// order results by `(score descending, object id ascending)`, a
+/// deterministic total order.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum FusionMode {
+    /// No fusion: plain similarity ranking (possibly attribute-restricted).
+    #[default]
+    None,
+    /// Reciprocal rank fusion: `score = Σ_lists 1 / (k + rank)` with ranks
+    /// starting at 1. Rank-based, so it needs no score normalization.
+    Rrf {
+        /// The rank-smoothing constant (60 is the conventional default).
+        k: u32,
+    },
+    /// Weighted score merge: `score = attr_weight · attr_score_normalized +
+    /// (1 − attr_weight) · similarity`, with the attribute score normalized
+    /// by the largest attribute score in the result set.
+    Weighted {
+        /// Weight of the attribute ranking in `[0, 1]`.
+        attr_weight: f64,
+    },
+}
+
+impl FusionMode {
+    /// Conventional RRF rank-smoothing constant (used by [`FromStr`](std::str::FromStr)).
+    pub const DEFAULT_RRF_K: u32 = 60;
+    /// Balanced attribute weight (used by [`FromStr`](std::str::FromStr)).
+    pub const DEFAULT_ATTR_WEIGHT: f64 = 0.5;
+}
+
+impl std::fmt::Display for FusionMode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            FusionMode::None => "none",
+            FusionMode::Rrf { .. } => "rrf",
+            FusionMode::Weighted { .. } => "weighted",
+        })
+    }
+}
+
+impl std::str::FromStr for FusionMode {
+    type Err = CoreError;
+
+    /// Parses the `Display` labels back into modes with their documented
+    /// default parameters (`k = 60`, `attr_weight = 0.5`); callers refine
+    /// the parameters afterwards (e.g. the protocol's `rrfk=`/`fw=` keys).
+    fn from_str(s: &str) -> Result<Self, CoreError> {
+        match s {
+            "none" => Ok(FusionMode::None),
+            "rrf" => Ok(FusionMode::Rrf {
+                k: FusionMode::DEFAULT_RRF_K,
+            }),
+            "weighted" => Ok(FusionMode::Weighted {
+                attr_weight: FusionMode::DEFAULT_ATTR_WEIGHT,
+            }),
+            other => Err(CoreError::InvalidQuery(format!(
+                "unknown fusion mode {other:?} (expected none, rrf, or weighted)"
+            ))),
+        }
+    }
+}
 
 /// One fused hit: the blended score plus, when the object appeared in
 /// the similarity list, its raw distance.
@@ -129,6 +196,32 @@ mod tests {
 
     fn id(n: u64) -> ObjectId {
         ObjectId(n)
+    }
+
+    #[test]
+    fn fusion_mode_parse_roundtrip() {
+        for mode in [
+            FusionMode::None,
+            FusionMode::Rrf {
+                k: FusionMode::DEFAULT_RRF_K,
+            },
+            FusionMode::Weighted {
+                attr_weight: FusionMode::DEFAULT_ATTR_WEIGHT,
+            },
+        ] {
+            assert_eq!(mode.to_string().parse::<FusionMode>().unwrap(), mode);
+        }
+        // Parsing always yields the documented default parameters.
+        assert_eq!(
+            "rrf".parse::<FusionMode>().unwrap(),
+            FusionMode::Rrf { k: 60 }
+        );
+        for bad in ["", "RRF", "blend", "none "] {
+            assert!(
+                bad.parse::<FusionMode>().is_err(),
+                "{bad:?} should be rejected"
+            );
+        }
     }
 
     #[test]

@@ -13,11 +13,11 @@
 //! quit
 //! ```
 
-use ferret_core::engine::{FusionMode, QueryMode};
+use ferret_core::engine::QueryMode;
 use ferret_core::filter::FilterParams;
 use ferret_core::object::ObjectId;
 
-use crate::fusion::FusedHit;
+use crate::fusion::{FusedHit, FusionMode};
 
 /// A parsed protocol command.
 #[derive(Debug, Clone, PartialEq)]

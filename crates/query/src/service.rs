@@ -17,7 +17,7 @@ use parking_lot::Mutex;
 use ferret_attr::{AttrStore, Attributes};
 use ferret_core::codec::{decode_calibration, decode_object, encode_calibration, encode_object};
 use ferret_core::engine::{
-    similarity_from_distance, EngineBuilder, EngineConfig, FusionMode, QueryOptions, QueryResponse,
+    similarity_from_distance, EngineBuilder, EngineConfig, QueryOptions, QueryResponse,
     SearchEngine,
 };
 use ferret_core::error::CoreError;
@@ -27,7 +27,7 @@ use ferret_core::telemetry::{MetricsRegistry, QueryTrace, Unit, SIZE_BUCKETS};
 use ferret_store::{Database, DbOptions, StoreError, Vfs};
 
 use crate::cache::ResultCache;
-use crate::fusion::{rank_attr_scores, rrf_fuse, weighted_fuse, FusedHit};
+use crate::fusion::{rank_attr_scores, rrf_fuse, weighted_fuse, FusedHit, FusionMode};
 use crate::protocol::{Command, ProtocolError};
 
 pub use crate::protocol::Response;
@@ -1061,6 +1061,31 @@ mod tests {
         assert!(svc
             .execute_line("query id=0 attr=\"((\"")
             .starts_with("ERR"));
+    }
+
+    #[test]
+    fn every_mode_rejects_k_zero_and_negative_weights_by_id() {
+        let mut svc = populated();
+        let parts = vec![
+            (FeatureVector::new(vec![0.2; 3]).unwrap(), 1.0),
+            (FeatureVector::new(vec![0.7; 3]).unwrap(), 1.0),
+        ];
+        svc.insert(ObjectId(10), DataObject::new(parts).unwrap(), None)
+            .unwrap();
+        for mode in ["brute", "sketch", "filter"] {
+            let reply = svc.execute_line(&format!("query id=10 k=0 mode={mode}"));
+            assert!(
+                reply.starts_with("ERR") && reply.contains("k must be > 0"),
+                "mode={mode}: {reply}"
+            );
+            let reply = svc.execute_line(&format!("query id=10 mode={mode} weights=2,-1"));
+            assert!(
+                reply.starts_with("ERR") && reply.contains("segment 1 has weight -1"),
+                "mode={mode}: {reply}"
+            );
+            let reply = svc.execute_line(&format!("query id=10 mode={mode} weights=2,1"));
+            assert!(reply.starts_with("OK"), "mode={mode}: {reply}");
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ cargo test -q --test server_and_acquisition --test parallel_determinism --test t
 
 echo "==> sketch construction: estimator quality, golden fixtures"
 cargo test -q -p ferret-eval --test estimator_quality
-cargo test -q -p ferret-core --test golden_sketches
+cargo test -q -p ferret-core --test golden_sketches --test golden_queries
 
 echo "==> hybrid queries: pushdown equivalence, result cache, golden fusion"
 # Fixed seed so the pushdown/cache equivalence corpora are reproducible.
@@ -236,6 +236,13 @@ http_get "/search?id=0&k=2&mode=filter" | grep -q '"results":\[{"id":' \
     || { echo "default filter-mode /search failed"; exit 1; }
 STAT="$(http_get /stat)"
 TCP_STAT="$(target/release/ferret query --addr "$TCP_ADDR" stat)"
+# Every mode validates k and the weight override alike, including a
+# sketch-mode query seeded by id (object 0, a.fvec, has two segments).
+for bad in 'query id=0 k=0 mode=sketch' 'query id=0 mode=sketch weights=2,-1'; do
+    REPLY="$(target/release/ferret query --addr "$TCP_ADDR" "$bad")"
+    printf '%s\n' "$REPLY" | grep -q '^ERR ' \
+        || { echo "'$bad' did not reply ERR:"; echo "$REPLY"; exit 1; }
+done
 METRICS="$(http_get /metrics)"
 kill "$SERVE_PID" 2>/dev/null || true
 echo "$STAT" | tail -n 1 \
@@ -246,6 +253,6 @@ printf '%s\n' "$TCP_STAT" | tr '\n' ' ' \
     || { echo "tcp stat reply is not OK 4 with four lines:"; echo "$TCP_STAT"; exit 1; }
 echo "$METRICS" | grep "^ferret_query_stage_seconds" | grep -q 'stage="filter"' \
     || { echo "default serve missing the filter stage timer:"; echo "$METRICS" | grep '^ferret_query_stage'; exit 1; }
-echo "default smoke OK: arena scan, four-field stat on both surfaces"
+echo "default smoke OK: arena scan, four-field stat on both surfaces, invalid sketch queries refused"
 
 echo "CI OK"
