@@ -173,7 +173,8 @@ impl Manifest {
     }
 
     /// Persists the manifest to the metadata store.
-    pub fn save(&self, db: &mut Database) -> StoreResult<()> {
+    #[cfg(test)]
+    fn save(&self, db: &mut Database) -> StoreResult<()> {
         db.put(MANIFEST_TABLE, b"manifest", &self.to_bytes()?)
     }
 

@@ -140,11 +140,6 @@ impl AttrStore {
         self.index.attributes(id)
     }
 
-    /// Evaluates a parsed query.
-    pub fn search(&self, query: &Query) -> std::collections::HashSet<ObjectId> {
-        query.eval(&self.index)
-    }
-
     /// Parses and evaluates a query string.
     pub fn search_str(
         &self,

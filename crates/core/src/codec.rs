@@ -1,12 +1,13 @@
 //! Binary serialization of core types.
 //!
-//! Used by the metadata layer to persist feature vectors and sketches.
+//! Used by the metadata layer to persist feature vectors and the sketch
+//! calibration record.
 //! All integers are little-endian; formats are length-checked and reject
 //! trailing bytes.
 
 use crate::error::{CoreError, Result};
 use crate::object::DataObject;
-use crate::sketch::{BitVec, SketchParams, SketchedObject};
+use crate::sketch::SketchParams;
 use crate::vector::FeatureVector;
 
 fn take<'a>(bytes: &mut &'a [u8], n: usize) -> Result<&'a [u8]> {
@@ -75,43 +76,6 @@ pub fn decode_object(mut bytes: &[u8]) -> Result<DataObject> {
         return Err(CoreError::Extraction("trailing object bytes".into()));
     }
     DataObject::from_normalized(parts)
-}
-
-/// Serializes a [`SketchedObject`]: `k`, then per segment `weight` and the
-/// sketch bytes (length-prefixed).
-pub fn encode_sketched(so: &SketchedObject) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&(so.num_segments() as u32).to_le_bytes());
-    for (w, s) in so.weights.iter().zip(so.sketches.iter()) {
-        out.extend_from_slice(&w.to_le_bytes());
-        let bytes = s.to_bytes();
-        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(&bytes);
-    }
-    out
-}
-
-/// Deserializes a [`SketchedObject`] from [`encode_sketched`] bytes.
-pub fn decode_sketched(mut bytes: &[u8]) -> Result<SketchedObject> {
-    let k = get_u32(&mut bytes)? as usize;
-    if k == 0 {
-        return Err(CoreError::EmptyObject);
-    }
-    if k > 1 << 24 {
-        return Err(CoreError::Extraction("implausible sketch header".into()));
-    }
-    let mut weights = Vec::with_capacity(k);
-    let mut sketches = Vec::with_capacity(k);
-    for _ in 0..k {
-        weights.push(get_f32(&mut bytes)?);
-        let len = get_u32(&mut bytes)? as usize;
-        let raw = take(&mut bytes, len)?;
-        sketches.push(BitVec::from_bytes(raw)?);
-    }
-    if !bytes.is_empty() {
-        return Err(CoreError::Extraction("trailing sketch bytes".into()));
-    }
-    Ok(SketchedObject { weights, sketches })
 }
 
 /// Version of the [`encode_calibration`] layout; a record of any other
@@ -204,34 +168,6 @@ mod tests {
         bad.extend_from_slice(&u32::MAX.to_le_bytes());
         bad.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(decode_object(&bad).is_err());
-    }
-
-    #[test]
-    fn sketched_roundtrip() {
-        let so = SketchedObject {
-            weights: vec![0.25, 0.75],
-            sketches: vec![
-                BitVec::from_bits(&[true, false, true]),
-                BitVec::from_bits(&[false; 96]),
-            ],
-        };
-        let bytes = encode_sketched(&so);
-        let back = decode_sketched(&bytes).unwrap();
-        assert_eq!(so, back);
-    }
-
-    #[test]
-    fn sketched_rejects_garbage() {
-        assert!(decode_sketched(&[]).is_err());
-        let so = SketchedObject {
-            weights: vec![1.0],
-            sketches: vec![BitVec::from_bits(&[true; 64])],
-        };
-        let bytes = encode_sketched(&so);
-        assert!(decode_sketched(&bytes[..bytes.len() - 2]).is_err());
-        let mut extra = bytes.clone();
-        extra.push(7);
-        assert!(decode_sketched(&extra).is_err());
     }
 
     #[test]

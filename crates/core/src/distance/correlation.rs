@@ -109,36 +109,6 @@ impl SegmentDistance for SpearmanDistance {
     }
 }
 
-/// Cosine distance: `1 − cos(a, b)`.
-///
-/// Not used by the paper's four systems but a common plug-in choice; zero
-/// vectors are defined to be at distance 1 from everything except another
-/// zero vector.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CosineDistance;
-
-impl SegmentDistance for CosineDistance {
-    fn name(&self) -> &'static str {
-        "cosine"
-    }
-
-    fn eval(&self, a: &[f32], b: &[f32]) -> f64 {
-        debug_assert_eq!(a.len(), b.len());
-        let mut dot = 0.0f64;
-        let mut na = 0.0f64;
-        let mut nb = 0.0f64;
-        for (&x, &y) in a.iter().zip(b.iter()) {
-            dot += f64::from(x) * f64::from(y);
-            na += f64::from(x) * f64::from(x);
-            nb += f64::from(y) * f64::from(y);
-        }
-        if na <= 0.0 || nb <= 0.0 {
-            return if na == nb { 0.0 } else { 1.0 };
-        }
-        1.0 - (dot / (na.sqrt() * nb.sqrt())).clamp(-1.0, 1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,23 +174,10 @@ mod tests {
     }
 
     #[test]
-    fn cosine_basics() {
-        assert!(CosineDistance.eval(&[1.0, 0.0], &[2.0, 0.0]) < 1e-12);
-        assert!((CosineDistance.eval(&[1.0, 0.0], &[0.0, 1.0]) - 1.0).abs() < 1e-12);
-        assert!((CosineDistance.eval(&[1.0, 0.0], &[-1.0, 0.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(CosineDistance.eval(&[0.0, 0.0], &[0.0, 0.0]), 0.0);
-        assert_eq!(CosineDistance.eval(&[0.0, 0.0], &[1.0, 0.0]), 1.0);
-    }
-
-    #[test]
     fn correlation_distances_are_symmetric() {
         let a = [0.4f32, 1.7, -2.0, 0.0, 3.3];
         let b = [9.1f32, -0.2, 0.7, 1.1, -4.0];
-        for d in [
-            &PearsonDistance as &dyn SegmentDistance,
-            &SpearmanDistance,
-            &CosineDistance,
-        ] {
+        for d in [&PearsonDistance as &dyn SegmentDistance, &SpearmanDistance] {
             assert!(
                 (d.eval(&a, &b) - d.eval(&b, &a)).abs() < 1e-12,
                 "{}",

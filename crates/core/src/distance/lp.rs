@@ -47,6 +47,7 @@ impl SegmentDistance for L2 {
 
 /// The general ℓ_p distance for `p >= 1`.
 #[derive(Debug, Clone, Copy)]
+// ferret-lint: allow(pub-without-caller) -- the paper's general ℓ_p segment distance (§4.2.2), offered to plug-ins
 pub struct Lp {
     p: f64,
 }
@@ -83,29 +84,12 @@ impl SegmentDistance for Lp {
     }
 }
 
-/// The ℓ_∞ (Chebyshev) distance: the maximum per-dimension difference.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LInf;
-
-impl SegmentDistance for LInf {
-    fn name(&self) -> &'static str {
-        "linf"
-    }
-
-    fn eval(&self, a: &[f32], b: &[f32]) -> f64 {
-        debug_assert_eq!(a.len(), b.len());
-        a.iter()
-            .zip(b.iter())
-            .map(|(x, y)| f64::from(x - y).abs())
-            .fold(0.0, f64::max)
-    }
-}
-
 /// Per-dimension weighted ℓ₁ distance: `Σ w_i · |X_i − Y_i|`.
 ///
 /// Used as the image segment distance in the paper (§5.1), where bounding
 /// box dimensions are weighted differently from color moments.
 #[derive(Debug, Clone)]
+// ferret-lint: allow(pub-without-caller) -- the paper's weighted ℓ₁ segment distance (§4.2.2, §5.1), offered to plug-ins
 pub struct WeightedL1 {
     weights: Box<[f32]>,
 }
@@ -179,11 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn linf_is_max_component() {
-        assert_eq!(LInf.eval(&A, &B), 3.0);
-    }
-
-    #[test]
     #[should_panic(expected = "p >= 1")]
     fn lp_rejects_p_below_one() {
         let _ = Lp::new(0.5);
@@ -219,7 +198,6 @@ mod tests {
         for d in [
             &L1 as &dyn SegmentDistance,
             &L2,
-            &LInf,
             &Lp::new(3.0),
             &WeightedL1::new(vec![0.3, 1.0, 2.0]),
         ] {

@@ -10,8 +10,6 @@
 
 pub mod correlation;
 pub mod emd;
-pub mod hamming;
-pub mod histogram;
 pub mod lp;
 
 use crate::error::Result;

@@ -52,9 +52,7 @@ pub mod vector;
 /// Commonly used types, for glob import.
 pub mod prelude {
     pub use crate::distance::emd::{Emd, GreedyEmd, ThresholdedEmd};
-    pub use crate::distance::hamming::{Hamming, NormalizedHamming, ScaledHamming, SketchDistance};
-    pub use crate::distance::histogram::{ChiSquare, HistogramIntersection};
-    pub use crate::distance::lp::{LInf, Lp, WeightedL1, L1, L2};
+    pub use crate::distance::lp::{Lp, WeightedL1, L1, L2};
     pub use crate::distance::{ObjectDistance, SegmentDistance};
     pub use crate::engine::{
         EngineBuilder, EngineConfig, MetadataFootprint, QueryMode, QueryOptions, QueryResponse,

@@ -42,44 +42,7 @@ pub trait FileExtractor: Send + Sync {
     fn extract_file(&self, path: &std::path::Path) -> Result<DataObject>;
 }
 
-/// Adapts any byte-level [`Extractor`] into a [`FileExtractor`] by reading
-/// the file into memory first.
-pub struct FileAdapter<E> {
-    inner: E,
-}
-
-impl<E> FileAdapter<E> {
-    /// Wraps an extractor over `[u8]` input.
-    pub fn new(inner: E) -> Self {
-        Self { inner }
-    }
-
-    /// The wrapped extractor.
-    pub fn inner(&self) -> &E {
-        &self.inner
-    }
-}
-
-impl<E> FileExtractor for FileAdapter<E>
-where
-    E: Extractor<Input = [u8]>,
-{
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn extract_file(&self, path: &std::path::Path) -> Result<DataObject> {
-        // ferret-lint: allow(vfs-bypass) -- read-only load of a user input file for feature extraction; durability is not involved
-        let bytes = std::fs::read(path).map_err(|e| {
-            crate::error::CoreError::Extraction(format!("read {}: {e}", path.display()))
-        })?;
-        self.inner.extract(&bytes)
-    }
-}
-
 #[cfg(test)]
-// Tests write fixture files directly; the Vfs seam is for production durability.
-#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::vector::FeatureVector;
@@ -121,28 +84,5 @@ mod tests {
     fn extractor_propagates_errors() {
         let e = ByteExtractor;
         assert!(e.extract(&[]).is_err());
-    }
-
-    #[test]
-    fn file_adapter_reads_files() {
-        let dir = std::env::temp_dir().join("ferret-core-plugin-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("obj.bin");
-        std::fs::write(&path, [9u8, 8, 7]).unwrap();
-        let fe = FileAdapter::new(ByteExtractor);
-        let obj = fe.extract_file(&path).unwrap();
-        assert_eq!(obj.num_segments(), 3);
-        assert_eq!(fe.name(), "bytes");
-        assert_eq!(fe.inner().dim(), 1);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn file_adapter_reports_missing_file() {
-        let fe = FileAdapter::new(ByteExtractor);
-        let err = fe
-            .extract_file(std::path::Path::new("/nonexistent/ferret/file"))
-            .unwrap_err();
-        assert!(err.to_string().contains("extraction failed"));
     }
 }

@@ -17,36 +17,13 @@ pub struct SearchResult {
     pub distance: f64,
 }
 
-/// Ranks candidate objects by object distance to the query.
-///
-/// Returns at most `k` results sorted by ascending distance; ties are broken
-/// by object id so results are deterministic.
-pub fn rank_candidates<'a, I, D>(
-    query: &DataObject,
-    candidates: I,
-    distance: &D,
-    k: usize,
-) -> Result<Vec<SearchResult>>
-where
-    I: IntoIterator<Item = (ObjectId, &'a DataObject)>,
-    D: ObjectDistance + ?Sized,
-{
-    let mut results = Vec::new();
-    for (id, obj) in candidates {
-        let d = distance.distance(query, obj)?;
-        results.push(SearchResult { id, distance: d });
-    }
-    sort_and_truncate(&mut results, k);
-    Ok(results)
-}
-
 /// Ranks candidates by object distance using `threads` worker threads.
 ///
 /// Distances are computed per candidate on a work-stealing chunk queue
 /// (EMD cost varies with segment counts, so static partitioning would
 /// leave threads idle), then reassembled in candidate order before the
-/// `(distance, id)` sort — results are bit-identical to
-/// [`rank_candidates`] over the same slice for every thread count.
+/// `(distance, id)` sort — results are bit-identical to a serial ranking
+/// over the same slice for every thread count.
 pub fn rank_candidates_parallel<D>(
     query: &DataObject,
     candidates: &[(ObjectId, &DataObject)],
@@ -95,6 +72,27 @@ mod tests {
     use crate::distance::emd::Emd;
     use crate::distance::lp::L1;
     use crate::vector::FeatureVector;
+
+    /// The serial oracle for [`rank_candidates_parallel`]: at most `k`
+    /// results by ascending distance, ties broken by object id.
+    fn rank_candidates<'a, I, D>(
+        query: &DataObject,
+        candidates: I,
+        distance: &D,
+        k: usize,
+    ) -> Result<Vec<SearchResult>>
+    where
+        I: IntoIterator<Item = (ObjectId, &'a DataObject)>,
+        D: ObjectDistance + ?Sized,
+    {
+        let mut results = Vec::new();
+        for (id, obj) in candidates {
+            let d = distance.distance(query, obj)?;
+            results.push(SearchResult { id, distance: d });
+        }
+        sort_and_truncate(&mut results, k);
+        Ok(results)
+    }
 
     fn obj1(x: f32) -> DataObject {
         DataObject::single(FeatureVector::new(vec![x]).unwrap())

@@ -48,7 +48,8 @@ pub struct SegmenterConfig {
 impl SegmenterConfig {
     /// Utterance-level boundaries: "ten or more windows with RMS energy
     /// below a certain threshold" (§5.2).
-    pub fn utterance() -> Self {
+    #[cfg(test)]
+    fn utterance() -> Self {
         Self {
             energy_threshold: 0.01,
             zcr_threshold: 90,

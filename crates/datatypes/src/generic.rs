@@ -61,7 +61,8 @@ pub fn parse_fvec(text: &str) -> Result<DataObject> {
 }
 
 /// Serializes a [`DataObject`] to the `.fvec` text format.
-pub fn format_fvec(obj: &DataObject) -> String {
+#[cfg(test)]
+fn format_fvec(obj: &DataObject) -> String {
     let mut out = String::from("# ferret fvec: one weighted segment per line\n");
     for seg in obj.segments() {
         out.push_str(&format!("{}", seg.weight));

@@ -43,11 +43,6 @@ impl ImageExtractor {
             seed,
         }
     }
-
-    /// Overrides the segmentation parameters.
-    pub fn with_params(seed: u64, params: SegmenterParams) -> Self {
-        Self { params, seed }
-    }
 }
 
 impl Extractor for ImageExtractor {

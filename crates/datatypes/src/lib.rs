@@ -18,7 +18,6 @@ pub mod common;
 pub mod generic;
 pub mod genomic;
 pub mod image;
-pub mod sensor;
 pub mod shape;
 
 pub use common::Dataset;

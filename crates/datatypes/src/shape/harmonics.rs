@@ -85,11 +85,6 @@ impl ShAccumulator {
         }
     }
 
-    /// Number of degrees (descriptor values per shell).
-    pub fn num_degrees(&self) -> usize {
-        self.max_degree + 1
-    }
-
     /// Index of coefficient `(l, m)` with `m in -l..=l`.
     #[inline]
     fn cidx(l: usize, m: i64) -> usize {
@@ -146,7 +141,8 @@ impl ShAccumulator {
 }
 
 /// Convenience: power spectrum of `(cos_theta, phi, value)` samples.
-pub fn sh_power_spectrum(samples: &[(f64, f64, f64)], max_degree: usize) -> Vec<f64> {
+#[cfg(test)]
+fn sh_power_spectrum(samples: &[(f64, f64, f64)], max_degree: usize) -> Vec<f64> {
     let mut acc = ShAccumulator::new(max_degree);
     for &(ct, phi, v) in samples {
         acc.add_sample(ct, phi, v);
@@ -297,6 +293,5 @@ mod tests {
         assert!(acc.power_spectrum().iter().any(|&p| p > 0.0));
         acc.reset();
         assert!(acc.power_spectrum().iter().all(|&p| p == 0.0));
-        assert_eq!(acc.num_degrees(), 5);
     }
 }

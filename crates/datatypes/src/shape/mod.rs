@@ -156,7 +156,8 @@ impl VoxelGrid {
     }
 
     /// Number of occupied voxels.
-    pub fn occupied(&self) -> usize {
+    #[cfg(test)]
+    fn occupied(&self) -> usize {
         self.data.iter().filter(|&&b| b).count()
     }
 

@@ -10,8 +10,6 @@
 //! set <name> <id> <id> <id> ...
 //! ```
 
-use std::fmt::Write as _;
-
 use ferret_core::object::ObjectId;
 
 /// One named gold-standard similarity set.
@@ -115,7 +113,9 @@ impl BenchmarkSuite {
     }
 
     /// Serializes to the benchmark file format.
-    pub fn to_text(&self) -> String {
+    #[cfg(test)]
+    fn to_text(&self) -> String {
+        use std::fmt::Write as _;
         let mut out = String::from("# Ferret benchmark suite\n");
         for set in &self.sets {
             let _ = write!(out, "set {}", set.name);

@@ -261,6 +261,133 @@ fn ordering_comment_quiet_with_same_or_previous_line_comment() {
     assert!(fires(&repo, "atomic-ordering-comment").is_empty());
 }
 
+// ----------------------------------------------------- pub-without-caller --
+
+const PUB_RULE: &str = "pub-without-caller";
+
+#[test]
+fn pub_fn_without_caller_is_flagged() {
+    let repo = Repo::from_memory(
+        &[(
+            "crates/foo/src/lib.rs",
+            "pub fn used() {}\npub fn orphan() {}\nfn private() { used(); }\n",
+        )],
+        &[],
+    );
+    let v = fires(&repo, PUB_RULE);
+    assert_eq!(v.len(), 1, "{v:?}");
+    assert_eq!((v[0].line, v[0].msg.contains("`orphan`")), (2, true));
+}
+
+#[test]
+fn caller_only_files_count_as_callers() {
+    for caller in [
+        "tests/it.rs",
+        "crates/foo/tests/it.rs",
+        "examples/demo.rs",
+        "benchmark/src/main.rs",
+    ] {
+        let repo = Repo::from_memory(
+            &[
+                ("crates/foo/src/lib.rs", "pub fn helper() {}\n"),
+                (caller, "use foo::helper;\nfn main() { helper(); }\n"),
+            ],
+            &[],
+        );
+        assert!(fires(&repo, PUB_RULE).is_empty(), "{caller}");
+        // Caller-only files are never checked themselves.
+        assert!(repo.file(caller).is_none(), "{caller}");
+    }
+}
+
+#[test]
+fn prelude_reexport_alone_is_no_caller() {
+    let repo = Repo::from_memory(
+        &[
+            ("crates/foo/src/dist.rs", "pub struct Cosine;\n"),
+            (
+                "crates/foo/src/lib.rs",
+                "pub mod dist;\npub mod prelude {\n    \
+                 pub use crate::dist::{\n        Cosine,\n    };\n}\n",
+            ),
+        ],
+        &[],
+    );
+    let v = fires(&repo, PUB_RULE);
+    assert_eq!(v.len(), 1, "{v:?}");
+    assert_eq!(v[0].path, "crates/foo/src/dist.rs");
+}
+
+#[test]
+fn use_in_own_test_module_only_is_flagged() {
+    let repo = Repo::from_memory(
+        &[(
+            "crates/foo/src/lib.rs",
+            "pub fn checksum(b: &[u8]) -> usize { b.len() }\n\
+             #[cfg(test)]\nmod tests {\n    #[test]\n    \
+             fn t() { assert_eq!(super::checksum(b\"ab\"), 2); }\n}\n",
+        )],
+        &[],
+    );
+    let v = fires(&repo, PUB_RULE);
+    assert_eq!(v.len(), 1, "{v:?}");
+    assert!(v[0].msg.contains("`checksum`"), "{v:?}");
+}
+
+#[test]
+fn type_in_a_used_pub_signature_is_not_flagged() {
+    let repo = Repo::from_memory(
+        &[
+            (
+                "crates/foo/src/lib.rs",
+                "pub struct Options { pub k: usize }\n\
+                 pub fn search(opts: &Options) -> usize { opts.k }\n",
+            ),
+            ("src/bin/tool.rs", "fn main() { let _ = foo::search; }\n"),
+        ],
+        &[],
+    );
+    assert!(fires(&repo, PUB_RULE).is_empty());
+}
+
+#[test]
+fn allow_pragma_with_reason_suppresses() {
+    let repo = Repo::from_memory(
+        &[(
+            "crates/foo/src/lib.rs",
+            "#[derive(Debug)]\n\
+             // ferret-lint: allow(pub-without-caller) -- a paper distance kept for plug-ins\n\
+             pub struct Lp;\n",
+        )],
+        &[],
+    );
+    assert!(fires(&repo, PUB_RULE).is_empty());
+    assert!(fires(&repo, "pragma").is_empty());
+}
+
+#[test]
+fn pub_without_caller_above_baseline_fails_deny() {
+    let one = Repo::from_memory(&[("crates/foo/src/lib.rs", "pub fn a() {}\n")], &[]);
+    let two = Repo::from_memory(
+        &[("crates/foo/src/lib.rs", "pub fn a() {}\npub fn b() {}\n")],
+        &[],
+    );
+    let baseline = ferret_lint::run(&one, &Baseline::new()).measured;
+    assert_eq!(baseline.total(PUB_RULE), 1);
+    assert!(ferret_lint::run(&one, &baseline).regressions.is_empty());
+    // A ratchet rule: the second orphan is a regression, not a deny
+    // violation, and a regression alone fails `--deny`.
+    let report = ferret_lint::run(&two, &baseline);
+    assert!(report.deny.iter().all(|v| v.rule != PUB_RULE));
+    assert_eq!(report.regressions.len(), 1, "{:?}", report.regressions);
+    assert!(report.regressions[0].contains(PUB_RULE));
+    let regressions_only = ferret_lint::Report {
+        deny: Vec::new(),
+        ..report
+    };
+    assert!(regressions_only.failed());
+}
+
 // ---------------------------------------------------- strategy-enum-parity --
 
 /// A consistent strategy-enum universe: each contracted enum has Display
@@ -336,7 +463,7 @@ fn run_partitions_deny_and_ratchet_and_ratchets() {
     let repo = Repo::from_memory(
         &[(
             "crates/foo/src/lib.rs",
-            "pub fn f(p: &std::path::Path, x: Option<u32>) -> u32 {\n    \
+            "fn f(p: &std::path::Path, x: Option<u32>) -> u32 {\n    \
              let _ = std::fs::metadata(p);\n    x.unwrap()\n}\n",
         )],
         &[],

@@ -443,14 +443,6 @@ impl FerretService {
         }
     }
 
-    /// Disables telemetry collection (existing metrics are dropped with
-    /// the registry when the last handle goes away).
-    pub fn disable_telemetry(&mut self) {
-        self.engine.set_telemetry(None);
-        self.cache.set_telemetry(None);
-        self.telemetry = None;
-    }
-
     /// The result cache's current index epoch (advances on every
     /// mutation; useful for asserting invalidation in tests).
     pub fn cache_epoch(&self) -> u64 {

@@ -39,37 +39,6 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
-/// Incremental CRC-32 computation over multiple slices.
-#[derive(Debug, Clone)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Crc32 {
-    /// Starts a new checksum.
-    pub fn new() -> Self {
-        Self { state: !0u32 }
-    }
-
-    /// Feeds more data into the checksum.
-    pub fn update(&mut self, data: &[u8]) {
-        for &b in data {
-            self.state = (self.state >> 8) ^ TABLE[((self.state ^ u32::from(b)) & 0xFF) as usize];
-        }
-    }
-
-    /// Finishes and returns the checksum.
-    pub fn finish(&self) -> u32 {
-        !self.state
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,15 +52,6 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
-    }
-
-    #[test]
-    fn incremental_matches_oneshot() {
-        let data = b"hello ferret metadata store";
-        let mut inc = Crc32::new();
-        inc.update(&data[..7]);
-        inc.update(&data[7..]);
-        assert_eq!(inc.finish(), crc32(data));
     }
 
     #[test]

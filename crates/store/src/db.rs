@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use crate::error::{Result, StoreError};
+use crate::error::Result;
 use crate::snapshot::Snapshot;
 use crate::table::Table;
 use crate::vfs::{StdVfs, Vfs};
@@ -197,7 +197,6 @@ impl Database {
             db: self,
             ops: Vec::new(),
             overlay: HashMap::new(),
-            closed: false,
         }
     }
 
@@ -240,23 +239,6 @@ impl Database {
         Ok(())
     }
 
-    /// Drops an entire table (one logged transaction deleting every key).
-    /// Returns the number of entries removed.
-    pub fn drop_table(&mut self, table: &str) -> Result<usize> {
-        let keys: Vec<Vec<u8>> = match self.tables.get(table) {
-            Some(t) => t.iter().map(|(k, _)| k.to_vec()).collect(),
-            None => return Ok(0),
-        };
-        let count = keys.len();
-        let mut txn = self.begin();
-        for key in &keys {
-            txn.delete(table, key);
-        }
-        txn.commit()?;
-        self.tables.remove(table);
-        Ok(count)
-    }
-
     /// Forces buffered commits to disk.
     pub fn flush(&mut self) -> Result<()> {
         self.wal.sync()?;
@@ -282,14 +264,12 @@ impl Database {
 /// A read-your-writes transaction.
 ///
 /// Mutations are staged locally and become durable and visible atomically
-/// on [`Transaction::commit`]. Dropping the transaction (or calling
-/// [`Transaction::abort`]) discards them.
+/// on [`Transaction::commit`]. Dropping the transaction discards them.
 pub struct Transaction<'db> {
     db: &'db mut Database,
     ops: Vec<Op>,
     /// Staged state for read-your-writes: `None` marks a staged delete.
     overlay: HashMap<(String, Vec<u8>), Option<Vec<u8>>>,
-    closed: bool,
 }
 
 impl<'db> Transaction<'db> {
@@ -332,19 +312,8 @@ impl<'db> Transaction<'db> {
     }
 
     /// Commits the staged operations atomically.
-    pub fn commit(mut self) -> Result<()> {
-        if self.closed {
-            return Err(StoreError::TransactionClosed);
-        }
-        self.closed = true;
-        let ops = std::mem::take(&mut self.ops);
-        self.db.commit_ops(ops)
-    }
-
-    /// Discards the staged operations.
-    pub fn abort(mut self) {
-        self.closed = true;
-        self.ops.clear();
+    pub fn commit(self) -> Result<()> {
+        self.db.commit_ops(self.ops)
     }
 }
 
@@ -396,8 +365,8 @@ mod tests {
             assert_eq!(txn.get("t", b"a"), Some(b"1".to_vec()));
             assert_eq!(txn.get("t", b"existing"), None);
             // Not yet visible outside... (txn borrows db mutably, so checked
-            // after abort instead).
-            txn.abort();
+            // after dropping it instead).
+            drop(txn);
         }
         assert_eq!(db.get("t", b"a"), None);
         assert_eq!(db.get("t", b"existing"), Some(b"old".as_ref()));
@@ -442,13 +411,15 @@ mod tests {
             db.put("t", b"k", b"v").unwrap();
             db.delete("t", b"k").unwrap();
             // Write the snapshot manually without resetting the log,
-            // simulating a crash inside checkpoint() after write_to().
+            // simulating a crash inside checkpoint() after the snapshot write.
             db.wal.sync().unwrap();
             let snapshot = Snapshot {
                 last_seq: db.wal.next_seq() - 1,
                 tables: db.tables.clone(),
             };
-            snapshot.write_to(&dir.join("snapshot.db")).unwrap();
+            snapshot
+                .write_to_vfs(&StdVfs, &dir.join("snapshot.db"))
+                .unwrap();
             // Crash: log still contains both batches.
         }
         let db = Database::open(&dir).unwrap();
@@ -498,7 +469,7 @@ mod tests {
         }
         // Two checkpoints should have fired; snapshot must exist.
         assert!(dir.join("snapshot.db").exists());
-        let snap = Snapshot::read_from(&dir.join("snapshot.db"))
+        let snap = Snapshot::read_from_vfs(&StdVfs, &dir.join("snapshot.db"))
             .unwrap()
             .unwrap();
         assert!(snap.tables["t"].len() >= 20);
@@ -527,26 +498,6 @@ mod tests {
         assert_eq!(db.scan_prefix("t", b"a/").count(), 2);
         assert_eq!(db.iter_table("missing").count(), 0);
         assert_eq!(db.scan_prefix("missing", b"a").count(), 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn drop_table_removes_everything_durably() {
-        let dir = tmpdir("drop");
-        {
-            let mut db = Database::open_with(&dir, sync_options()).unwrap();
-            for i in 0..10u32 {
-                db.put("gone", &i.to_le_bytes(), b"x").unwrap();
-            }
-            db.put("kept", b"k", b"v").unwrap();
-            assert_eq!(db.drop_table("gone").unwrap(), 10);
-            assert_eq!(db.drop_table("gone").unwrap(), 0);
-            assert_eq!(db.table_len("gone"), 0);
-            assert_eq!(db.table_len("kept"), 1);
-        }
-        let db = Database::open(&dir).unwrap();
-        assert_eq!(db.table_len("gone"), 0);
-        assert_eq!(db.get("kept", b"k"), Some(b"v".as_ref()));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -16,8 +16,6 @@ pub enum StoreError {
     Limit(String),
     /// The referenced table does not exist.
     UnknownTable(String),
-    /// A transaction was already finished (committed or aborted).
-    TransactionClosed,
     /// A prior write/fsync failure left the write-ahead log in an unknown
     /// on-disk state; the store refuses further mutations until reopened
     /// (reopen truncates any torn tail and recovers a consistent prefix).
@@ -31,7 +29,6 @@ impl fmt::Display for StoreError {
             StoreError::Corrupt(msg) => write!(f, "corrupt store: {msg}"),
             StoreError::Limit(msg) => write!(f, "format limit exceeded: {msg}"),
             StoreError::UnknownTable(name) => write!(f, "unknown table: {name}"),
-            StoreError::TransactionClosed => write!(f, "transaction already finished"),
             StoreError::Poisoned => write!(
                 f,
                 "write-ahead log poisoned by an earlier write/fsync failure; reopen to recover"
@@ -70,7 +67,6 @@ mod tests {
         assert!(StoreError::Corrupt("bad crc".into())
             .to_string()
             .contains("bad crc"));
-        assert!(std::error::Error::source(&StoreError::TransactionClosed).is_none());
         assert!(StoreError::Poisoned.to_string().contains("poisoned"));
         assert!(std::error::Error::source(&StoreError::Poisoned).is_none());
     }

@@ -22,7 +22,7 @@ use crate::codec::{Decoder, Encoder};
 use crate::crc::crc32;
 use crate::error::{Result, StoreError};
 use crate::table::Table;
-use crate::vfs::{StdVfs, Vfs};
+use crate::vfs::Vfs;
 
 const MAGIC: u32 = u32::from_le_bytes(*b"FSNP");
 const VERSION: u32 = 1;
@@ -62,23 +62,25 @@ impl Snapshot {
 
     /// Parses a snapshot from bytes, validating magic, version, and CRC.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() < 20 {
+        let mut header = Decoder::new(bytes);
+        let (Ok(magic), Ok(version), Ok(body_len), Ok(crc)) = (
+            header.get_u32(),
+            header.get_u32(),
+            header.get_u64(),
+            header.get_u32(),
+        ) else {
             return Err(StoreError::Corrupt("snapshot too short".into()));
-        }
-        let magic = u32::from_le_bytes(bytes[0..4].try_into().expect("len"));
+        };
         if magic != MAGIC {
             return Err(StoreError::Corrupt("bad snapshot magic".into()));
         }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("len"));
         if version != VERSION {
             return Err(StoreError::Corrupt(format!("snapshot version {version}")));
         }
-        let body_len = u64::from_le_bytes(bytes[8..16].try_into().expect("len")) as usize;
-        let crc = u32::from_le_bytes(bytes[16..20].try_into().expect("len"));
-        if bytes.len() != 20 + body_len {
+        if header.remaining() as u64 != body_len {
             return Err(StoreError::Corrupt(format!(
                 "snapshot body length {} vs declared {body_len}",
-                bytes.len() - 20
+                header.remaining()
             )));
         }
         let body = &bytes[20..];
@@ -106,12 +108,8 @@ impl Snapshot {
         Ok(Self { last_seq, tables })
     }
 
-    /// Writes the snapshot durably: temp file, fsync, atomic rename.
-    pub fn write_to(&self, path: &Path) -> Result<()> {
-        self.write_to_vfs(&StdVfs, path)
-    }
-
-    /// [`Snapshot::write_to`] over an explicit [`Vfs`].
+    /// Writes the snapshot durably through `vfs`: temp file, fsync,
+    /// atomic rename.
     ///
     /// A failed directory fsync is an error: without it the rename is not
     /// durable and the caller must not truncate the WAL.
@@ -133,12 +131,8 @@ impl Snapshot {
         Ok(())
     }
 
-    /// Loads a snapshot from disk; `Ok(None)` if the file does not exist.
-    pub fn read_from(path: &Path) -> Result<Option<Self>> {
-        Self::read_from_vfs(&StdVfs, path)
-    }
-
-    /// [`Snapshot::read_from`] over an explicit [`Vfs`].
+    /// Loads a snapshot through `vfs`; `Ok(None)` if the file does not
+    /// exist.
     pub fn read_from_vfs(vfs: &dyn Vfs, path: &Path) -> Result<Option<Self>> {
         let bytes = match vfs.read(path) {
             Ok(bytes) => bytes,
@@ -152,6 +146,7 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::StdVfs;
 
     fn sample() -> Snapshot {
         let mut t1 = Table::new();
@@ -204,16 +199,22 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snapshot.db");
         std::fs::remove_file(&path).ok();
-        assert!(Snapshot::read_from(&path).unwrap().is_none());
+        assert!(Snapshot::read_from_vfs(&StdVfs, &path).unwrap().is_none());
         let snap = sample();
-        snap.write_to(&path).unwrap();
-        let back = Snapshot::read_from(&path).unwrap().unwrap();
+        snap.write_to_vfs(&StdVfs, &path).unwrap();
+        let back = Snapshot::read_from_vfs(&StdVfs, &path).unwrap().unwrap();
         assert_eq!(snap, back);
         // Overwrite with a different snapshot; rename must replace.
         let mut snap2 = sample();
         snap2.last_seq = 99;
-        snap2.write_to(&path).unwrap();
-        assert_eq!(Snapshot::read_from(&path).unwrap().unwrap().last_seq, 99);
+        snap2.write_to_vfs(&StdVfs, &path).unwrap();
+        assert_eq!(
+            Snapshot::read_from_vfs(&StdVfs, &path)
+                .unwrap()
+                .unwrap()
+                .last_seq,
+            99
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -251,7 +251,8 @@ pub struct IoEvent {
 
 /// Returns true if `e` was injected by a [`FaultVfs`] plan rather than
 /// produced by the real filesystem.
-pub fn is_injected(e: &io::Error) -> bool {
+#[cfg(test)]
+fn is_injected(e: &io::Error) -> bool {
     e.to_string().starts_with("injected fault")
 }
 

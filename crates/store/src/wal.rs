@@ -137,17 +137,17 @@ pub fn scan(bytes: &[u8]) -> Replay {
     let mut pos = 0usize;
     let mut last_seq = 0u64;
     loop {
-        if bytes.len() - pos < HEADER_LEN {
+        let mut header = Decoder::new(&bytes[pos..]);
+        let (Ok(magic), Ok(seq), Ok(len), Ok(crc)) = (
+            header.get_u32(),
+            header.get_u64(),
+            header.get_u32(),
+            header.get_u32(),
+        ) else {
             break;
-        }
-        let magic = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("len"));
-        if magic != MAGIC {
-            break;
-        }
-        let seq = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().expect("len"));
-        let len = u32::from_le_bytes(bytes[pos + 12..pos + 16].try_into().expect("len")) as usize;
-        let crc = u32::from_le_bytes(bytes[pos + 16..pos + 20].try_into().expect("len"));
-        if bytes.len() - pos - HEADER_LEN < len {
+        };
+        let len = len as usize;
+        if magic != MAGIC || header.remaining() < len {
             break;
         }
         let payload = &bytes[pos + HEADER_LEN..pos + HEADER_LEN + len];
@@ -250,7 +250,8 @@ impl Wal {
     }
 
     /// True if an earlier write/fsync failure poisoned this log.
-    pub fn is_poisoned(&self) -> bool {
+    #[cfg(test)]
+    fn is_poisoned(&self) -> bool {
         self.poisoned
     }
 

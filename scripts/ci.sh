@@ -14,21 +14,16 @@ cargo run -q -p ferret-lint -- --deny
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace"
+# Every package's unit and integration tests: the golden fixtures, the
+# estimator-quality suite, the lint rule fixtures and the protocol
+# robustness tests included. The proptest shim seeds each test from its
+# name, so the run is deterministic.
+cargo test -q --workspace
 
-echo "==> integration: server, determinism, telemetry, concurrent serving"
-cargo test -q --test server_and_acquisition --test parallel_determinism --test telemetry \
-    --test concurrent_serving
-
-echo "==> sketch construction: estimator quality, golden fixtures"
-cargo test -q -p ferret-eval --test estimator_quality
-cargo test -q -p ferret-core --test golden_sketches --test golden_queries
-
-echo "==> hybrid queries: pushdown equivalence, result cache, golden fusion"
+echo "==> hybrid queries: pushdown equivalence, result cache"
 # Fixed seed so the pushdown/cache equivalence corpora are reproducible.
 PROPTEST_SEED=20260805 cargo test -q --test hybrid_query --test result_cache
-cargo test -q -p ferret-query --test golden_fusion
 
 echo "==> fault suite: crash points, torn tails, service crash recovery"
 # Fixed seed so the randomized crash/recovery scripts are reproducible
@@ -212,7 +207,13 @@ timeout 20 target/release/ferret serve --db "$SMOKE_DIR/db-bad" --watch "$SMOKE_
     --dim 2 --index-layout segmented --tcp 127.0.0.1:0 --http 127.0.0.1:0 \
     > "$SMOKE_DIR/flag.log" 2>&1 || STATUS=$?
 [ "$STATUS" -eq 2 ] || { echo "serve --index-layout exited $STATUS, not 2:"; cat "$SMOKE_DIR/flag.log"; exit 1; }
-echo "calibration OK: retune exited 0, --bits 0 and an unknown flag exited 2"
+# An address serve cannot listen on is reported, not a panic.
+STATUS=0
+timeout 20 target/release/ferret serve --db "$SMOKE_DIR/db-bad" --watch "$SMOKE_DIR/watch" \
+    --dim 2 --tcp not-an-address --http 127.0.0.1:0 > "$SMOKE_DIR/addr.log" 2>&1 || STATUS=$?
+[ "$STATUS" -eq 1 ] && grep -q '^error: cannot listen on not-an-address: ' "$SMOKE_DIR/addr.log" \
+    || { echo "serve --tcp not-an-address exited $STATUS:"; cat "$SMOKE_DIR/addr.log"; exit 1; }
+echo "calibration OK: retune exited 0, --bits 0 and an unknown flag exited 2, a bad address exited 1"
 
 echo "==> smoke: default serve restart — stored calibration, arena scan, four-field stat"
 # Every flag at its default, on the store retuned above: the open uses the

@@ -350,6 +350,15 @@ fn cmd_retune(opts: &Options) {
     calibrate(&mut open_service(opts), opts, true);
 }
 
+/// The server a surface started, or exits 1 when it could not listen on
+/// `addr` (a busy port or an invalid address).
+fn listening<T>(addr: &str, started: std::io::Result<T>) -> T {
+    started.unwrap_or_else(|e| {
+        eprintln!("error: cannot listen on {addr}: {e}");
+        std::process::exit(1);
+    })
+}
+
 fn cmd_serve(opts: &Options) {
     let watch = opts.watch.clone().unwrap_or_else(|| usage());
     let mut service = open_service(opts);
@@ -393,15 +402,19 @@ fn cmd_serve(opts: &Options) {
         config.max_inflight,
         registry.as_ref(),
     ));
-    let tcp = Server::start_with(
-        Arc::clone(&service),
+    let tcp = listening(
         &opts.tcp,
-        config.clone(),
-        Arc::clone(&admission),
-    )
-    .expect("tcp server");
-    let http = HttpServer::start_with(Arc::clone(&service), &opts.http, config.clone(), admission)
-        .expect("http server");
+        Server::start_with(
+            Arc::clone(&service),
+            &opts.tcp,
+            config.clone(),
+            Arc::clone(&admission),
+        ),
+    );
+    let http = listening(
+        &opts.http,
+        HttpServer::start_with(Arc::clone(&service), &opts.http, config.clone(), admission),
+    );
     println!("query parallelism: {}", opts.threads);
     println!(
         "serving: {} workers per surface, max in-flight queries {}",

@@ -13,7 +13,6 @@ use ferret::datatypes::genomic::{
     generate_genomic_dataset, genomic_sketch_params, MicroarrayConfig,
 };
 use ferret::datatypes::image::{generate_vary_dataset, image_sketch_params, VaryConfig};
-use ferret::datatypes::sensor::{generate_sensor_dataset, sensor_sketch_params, SensorConfig};
 use ferret::datatypes::shape::{generate_psb_dataset, shape_sketch_params, PsbConfig};
 use ferret::datatypes::Dataset;
 use ferret::eval::{run_suite, BenchmarkSuite, SuiteResult};
@@ -155,29 +154,6 @@ fn genomic_pipeline_retrieves_coexpressed_modules() {
     assert!(
         brute.quality.average_precision > 0.7,
         "genomic avg precision {:.3}",
-        brute.quality.average_precision
-    );
-}
-
-#[test]
-fn sensor_pipeline_finds_motif_sequences() {
-    let dataset = generate_sensor_dataset(&SensorConfig {
-        num_sets: 5,
-        set_size: 3,
-        num_distractors: 25,
-        vocab_size: 15,
-        episodes: (3, 5),
-        seed: 21,
-    });
-    dataset.validate().unwrap();
-    let engine = index(
-        &dataset,
-        EngineConfig::basic(sensor_sketch_params(&dataset, 128, 2), 7),
-    );
-    let brute = evaluate(&engine, &dataset, &QueryOptions::brute_force(10));
-    assert!(
-        brute.quality.average_precision > 0.6,
-        "sensor brute-force avg precision {:.3}",
         brute.quality.average_precision
     );
 }
