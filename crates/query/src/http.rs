@@ -3,10 +3,13 @@
 //! "The web interface provides users with a simple, yet platform
 //! independent way to issue query and present search results." The paper
 //! used a small Python web server speaking the command-line protocol; here
-//! a dependency-free HTTP/1.1 server maps `GET` endpoints onto the same
-//! service:
+//! an HTTP listener runs the same [`Server`](crate::server::Server) as the
+//! line protocol, and this module only turns a `GET` request into a
+//! [`Command`] (or one of the routes that are not commands) and renders
+//! the reply as JSON:
 //!
-//! * `GET /search?id=42&k=10&mode=filter&attr=<urlencoded>` → JSON results
+//! * `GET /search?id=42&k=10&mode=filter&attr=<urlencoded>` → JSON results;
+//!   it takes exactly the keys of the protocol's `query` command
 //! * `GET /attr?q=<urlencoded expression>` → JSON id list
 //! * `GET /stat` → JSON statistics
 //! * `GET /metrics` → Prometheus text exposition (telemetry must be on)
@@ -14,16 +17,18 @@
 //! * `GET /` → a small HTML query form
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use parking_lot::RwLock;
+use crate::protocol::{json_escape, parse_query, Command};
+use crate::server::Dispatcher;
 
-use crate::admission::AdmissionControl;
-use crate::server::{ConnQueue, ServeConfig};
-use crate::service::FerretService;
+pub use crate::protocol::response_to_json;
+
+/// How long a client may take to send its request line and headers. Past
+/// it the connection is closed unanswered, so a silent client holds a
+/// worker, or a stop, for no longer than this.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(1);
 
 /// Percent-decodes a URL component (`%41` → `A`, `+` → space).
 pub fn url_decode(s: &str) -> String {
@@ -69,10 +74,12 @@ pub fn parse_query_string(qs: &str) -> Vec<(String, String)> {
         .collect()
 }
 
-use crate::protocol::json_escape;
-pub use crate::protocol::response_to_json;
-
 const INDEX_HTML: &str = "<!DOCTYPE html>\n<html><head><title>Ferret similarity search</title></head>\n<body>\n<h1>Ferret similarity search</h1>\n<form action=\"/search\" method=\"get\">\n  seed object id: <input name=\"id\" value=\"0\">\n  results: <input name=\"k\" value=\"10\">\n  mode: <select name=\"mode\"><option>filter</option><option>sketch</option><option>brute</option></select>\n  attributes: <input name=\"attr\" value=\"\">\n  <button type=\"submit\">search</button>\n</form>\n<p>Endpoints: /search?id=&amp;k=&amp;mode=&amp;attr= &middot; /attr?q= &middot; /stat &middot; /metrics &middot; /trace?id=</p>\n</body></html>\n";
+
+const JSON: &str = "application/json";
+
+/// A routed reply: status line, content type and body.
+type Reply = (&'static str, &'static str, String);
 
 fn http_reply(status: &str, content_type: &str, body: &str) -> String {
     format!(
@@ -81,301 +88,99 @@ fn http_reply(status: &str, content_type: &str, body: &str) -> String {
     )
 }
 
-/// Routes one HTTP request path (with query string) to a JSON/HTML reply,
-/// without admission control (every query is executed).
-pub fn route(
-    service: &Arc<RwLock<FerretService>>,
-    path_and_query: &str,
-) -> (String, String, String) {
-    route_with(service, None, None, path_and_query)
+fn error_json(status: &'static str, msg: &str) -> Reply {
+    (
+        status,
+        JSON,
+        format!("{{\"ok\":false,\"error\":\"{}\"}}", json_escape(msg)),
+    )
 }
 
-/// Routes one HTTP request with optional admission control for `/search`
-/// (a saturated server answers 503 instead of queueing) and an optional
-/// artificial per-query hold (load-testing knob; see
-/// [`ServeConfig::hold`]).
-pub fn route_with(
-    service: &Arc<RwLock<FerretService>>,
-    admission: Option<&Arc<AdmissionControl>>,
-    hold: Option<Duration>,
-    path_and_query: &str,
-) -> (String, String, String) {
-    let (path, qs) = match path_and_query.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (path_and_query, ""),
-    };
+fn bad_request(msg: &str) -> Reply {
+    error_json("400 Bad Request", msg)
+}
+
+fn busy() -> Reply {
+    error_json(
+        "503 Service Unavailable",
+        "BUSY too many in-flight queries, retry later",
+    )
+}
+
+/// The full reply to a connection turned away because every worker and
+/// queue slot is taken.
+pub(crate) fn busy_reply() -> String {
+    let (status, ctype, body) = busy();
+    http_reply(status, ctype, &body)
+}
+
+/// Routes one request target (path and query string) to a reply. Every
+/// route that runs a command goes through `dispatcher`, so `/search` is
+/// admitted before it takes the service lock, like a protocol query.
+pub fn route(dispatcher: &Dispatcher, target: &str) -> Reply {
+    let (path, qs) = target.split_once('?').unwrap_or((target, ""));
     let params = parse_query_string(qs);
     let get = |key: &str| {
         params
             .iter()
             .find(|(k, _)| k == key)
-            .map(|(_, v)| v.clone())
+            .map(|(_, v)| v.as_str())
     };
-    match path {
-        "/" => (
-            "200 OK".into(),
-            "text/html; charset=utf-8".into(),
-            INDEX_HTML.into(),
-        ),
+    let command = match path {
+        "/" => return ("200 OK", "text/html; charset=utf-8", INDEX_HTML.into()),
         "/metrics" => {
-            let registry = service.read().telemetry().cloned();
-            match registry {
+            return match dispatcher.registry() {
                 Some(reg) => (
-                    "200 OK".into(),
-                    "text/plain; version=0.0.4; charset=utf-8".into(),
+                    "200 OK",
+                    "text/plain; version=0.0.4; charset=utf-8",
                     reg.render_prometheus(),
                 ),
-                None => (
-                    "404 Not Found".into(),
-                    "application/json".into(),
-                    "{\"ok\":false,\"error\":\"telemetry disabled\"}".into(),
-                ),
+                None => error_json("404 Not Found", "telemetry disabled"),
             }
         }
         "/trace" => {
-            let svc = service.read();
-            let found = match get("id") {
-                Some(raw) => match raw.parse::<u64>() {
-                    Ok(id) => svc.trace(id).map(|t| (id, t)),
-                    Err(_) => return error_json("invalid id parameter"),
-                },
+            let id = match get("id").map(str::parse::<u64>) {
+                Some(Ok(id)) => Some(id),
+                Some(Err(_)) => return bad_request("invalid id parameter"),
+                None => None,
+            };
+            let svc = dispatcher.service().read();
+            let found = match id {
+                Some(id) => svc.trace(id).map(|t| (id, t)),
                 None => svc.last_trace(),
             };
-            match found {
+            return match found {
                 Some((id, trace)) => (
-                    "200 OK".into(),
-                    "application/json".into(),
+                    "200 OK",
+                    JSON,
                     format!("{{\"ok\":true,\"id\":{id},\"trace\":{}}}", trace.to_json()),
                 ),
-                None => (
-                    "404 Not Found".into(),
-                    "application/json".into(),
-                    "{\"ok\":false,\"error\":\"no trace recorded\"}".into(),
-                ),
-            }
-        }
-        "/stat" => {
-            let svc = service.read();
-            match svc.execute_read(&crate::protocol::Command::Stat) {
-                Ok(resp) => (
-                    "200 OK".into(),
-                    "application/json".into(),
-                    response_to_json(&resp),
-                ),
-                Err(e) => error_json(&e.to_string()),
-            }
-        }
-        "/attr" => {
-            let Some(q) = get("q") else {
-                return error_json("missing q parameter");
+                None => error_json("404 Not Found", "no trace recorded"),
             };
-            let svc = service.read();
-            match svc.execute_read(&crate::protocol::Command::Attr { expression: q }) {
-                Ok(resp) => (
-                    "200 OK".into(),
-                    "application/json".into(),
-                    response_to_json(&resp),
-                ),
-                Err(e) => error_json(&e.to_string()),
-            }
         }
-        "/search" => {
-            // Rebuild a protocol line and reuse its validation.
-            let mut line = String::from("query");
-            if let Some(id) = get("id") {
-                line.push_str(&format!(" id={id}"));
-            }
-            for key in [
-                "k",
-                "mode",
-                "r",
-                "cand",
-                "threshold",
-                "fusion",
-                "rrfk",
-                "fw",
-                "minsim",
-                "limit",
-            ] {
-                if let Some(v) = get(key) {
-                    line.push_str(&format!(" {key}={v}"));
-                }
-            }
-            if let Some(attr) = get("attr") {
-                if !attr.is_empty() {
-                    line.push_str(&format!(" attr=\"{attr}\""));
-                }
-            }
-            match crate::protocol::parse_command(&line) {
-                Ok(cmd) => {
-                    // Similarity queries are what admission control
-                    // meters; a saturated server answers 503 at once.
-                    let _slot = match admission {
-                        Some(ctl) => match ctl.try_admit() {
-                            Some(guard) => Some(guard),
-                            None => {
-                                return (
-                                    "503 Service Unavailable".into(),
-                                    "application/json".into(),
-                                    "{\"ok\":false,\"error\":\"BUSY too many in-flight queries, retry later\"}"
-                                        .into(),
-                                )
-                            }
-                        },
-                        None => None,
-                    };
-                    let svc = service.read();
-                    let result = svc.execute_read(&cmd);
-                    drop(svc);
-                    if let Some(hold) = hold {
-                        std::thread::sleep(hold);
-                    }
-                    match result {
-                        Ok(resp) => (
-                            "200 OK".into(),
-                            "application/json".into(),
-                            response_to_json(&resp),
-                        ),
-                        Err(e) => error_json(&e.to_string()),
-                    }
-                }
-                Err(e) => error_json(&e.to_string()),
-            }
-        }
-        _ => (
-            "404 Not Found".into(),
-            "application/json".into(),
-            "{\"ok\":false,\"error\":\"not found\"}".into(),
-        ),
-    }
-}
-
-fn error_json(msg: &str) -> (String, String, String) {
-    (
-        "400 Bad Request".into(),
-        "application/json".into(),
-        format!("{{\"ok\":false,\"error\":\"{}\"}}", json_escape(msg)),
-    )
-}
-
-/// A running HTTP server.
-pub struct HttpServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-/// Everything an HTTP worker needs to serve requests.
-struct HttpContext {
-    service: Arc<RwLock<FerretService>>,
-    admission: Arc<AdmissionControl>,
-    hold: Option<Duration>,
-}
-
-impl HttpServer {
-    /// Starts the web interface on `addr` (port 0 for ephemeral) with a
-    /// default [`ServeConfig`] and a private admission controller.
-    pub fn start(service: Arc<RwLock<FerretService>>, addr: &str) -> std::io::Result<Self> {
-        let config = ServeConfig::default();
-        let registry = service.read().telemetry().cloned();
-        let admission = Arc::new(AdmissionControl::new(
-            config.max_inflight,
-            registry.as_ref(),
-        ));
-        Self::start_with(service, addr, config, admission)
-    }
-
-    /// Starts the web interface with an explicit configuration and
-    /// admission controller. Pass the TCP server's controller to cap
-    /// in-flight queries across both surfaces.
-    pub fn start_with(
-        service: Arc<RwLock<FerretService>>,
-        addr: &str,
-        config: ServeConfig,
-        admission: Arc<AdmissionControl>,
-    ) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stop = Arc::clone(&shutdown);
-        let context = Arc::new(HttpContext {
-            service,
-            admission,
-            hold: config.hold,
-        });
-        let queue = Arc::new(ConnQueue::new(config.queue_depth));
-        let workers = config.workers.max(1);
-        let handle = std::thread::spawn(move || {
-            let pool: Vec<_> = (0..workers)
-                .map(|_| {
-                    let queue = Arc::clone(&queue);
-                    let stop = Arc::clone(&stop);
-                    let ctx = Arc::clone(&context);
-                    std::thread::spawn(move || {
-                        while let Some(stream) = queue.pop(&stop) {
-                            let _ = serve_one(stream, &ctx);
-                        }
-                    })
-                })
-                .collect();
-            loop {
-                // ordering: Relaxed; stop flag carries no data, stop()/drop join after
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        if let Err(mut rejected) = queue.push(stream) {
-                            // Connection queue full: fast 503, then close.
-                            let reply = http_reply(
-                                "503 Service Unavailable",
-                                "application/json",
-                                "{\"ok\":false,\"error\":\"server overloaded\"}",
-                            );
-                            let _ = rejected.write_all(reply.as_bytes());
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
-                }
-            }
-            queue.notify_all();
-            for w in pool {
-                let _ = w.join();
-            }
-        });
-        Ok(Self {
-            addr: local,
-            shutdown,
-            handle: Some(handle),
-        })
-    }
-
-    /// The bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops the server.
-    pub fn stop(mut self) {
-        // ordering: Relaxed; the join below is the real synchronization point
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for HttpServer {
-    fn drop(&mut self) {
-        // ordering: Relaxed; the join below is the real synchronization point
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        "/stat" => Command::Stat,
+        "/attr" => match get("q") {
+            Some(q) => Command::Attr {
+                expression: q.to_string(),
+            },
+            None => return bad_request("missing q parameter"),
+        },
+        // The HTML form always sends `attr`; empty means no filter.
+        "/search" => match parse_query(
+            params
+                .iter()
+                .filter(|(k, v)| !(k == "attr" && v.is_empty()))
+                .map(|(k, v)| (k.as_str(), v.as_str())),
+        ) {
+            Ok(command) => command,
+            Err(e) => return bad_request(&e.to_string()),
+        },
+        _ => return error_json("404 Not Found", "not found"),
+    };
+    match dispatcher.dispatch(&command) {
+        None => busy(),
+        Some(Ok(resp)) => ("200 OK", JSON, response_to_json(&resp)),
+        Some(Err(e)) => bad_request(&e.to_string()),
     }
 }
 
@@ -394,10 +199,30 @@ fn endpoint_label(path: &str) -> &'static str {
     }
 }
 
-fn serve_one(stream: TcpStream, context: &HttpContext) -> std::io::Result<()> {
-    let service = &context.service;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
+/// Reads from a stream until a fixed instant, then fails with `TimedOut`.
+struct Deadline<'a> {
+    stream: &'a TcpStream,
+    until: Instant,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.until.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        let mut stream = self.stream;
+        stream.read(buf)
+    }
+}
+
+/// Serves one HTTP request and closes the connection.
+pub(crate) fn serve_request(stream: TcpStream, dispatcher: &Dispatcher) -> std::io::Result<()> {
+    let mut reader = BufReader::new(Deadline {
+        stream: &stream,
+        until: Instant::now() + REQUEST_DEADLINE,
+    });
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
     let mut parts = request_line.split_whitespace();
@@ -420,20 +245,18 @@ fn serve_one(stream: TcpStream, context: &HttpContext) -> std::io::Result<()> {
     let reply = match well_formed {
         None => http_reply(
             "400 Bad Request",
-            "application/json",
+            JSON,
             "{\"ok\":false,\"error\":\"malformed request line\"}",
         ),
         Some(_) if method != "GET" => http_reply(
             "405 Method Not Allowed",
-            "application/json",
+            JSON,
             "{\"ok\":false,\"error\":\"GET only\"}",
         ),
         Some(target) => {
-            let registry = service.read().telemetry().cloned();
-            let start = registry.is_some().then(Instant::now);
-            let (status, ctype, body) =
-                route_with(service, Some(&context.admission), context.hold, target);
-            if let (Some(reg), Some(start)) = (registry, start) {
+            let start = Instant::now();
+            let (status, ctype, body) = route(dispatcher, target);
+            if let Some(reg) = dispatcher.registry() {
                 let path = target.split_once('?').map_or(target, |(p, _)| p);
                 let endpoint = endpoint_label(path);
                 let code = status.split_whitespace().next().unwrap_or("0");
@@ -450,14 +273,13 @@ fn serve_one(stream: TcpStream, context: &HttpContext) -> std::io::Result<()> {
                     start.elapsed(),
                 );
             }
-            http_reply(&status, &ctype, &body)
+            http_reply(status, ctype, &body)
         }
     };
-    writer.write_all(reply.as_bytes())?;
-    writer.flush()
+    (&stream).write_all(reply.as_bytes())
 }
 
-/// Fetches `path` from a running [`HttpServer`] (test/tooling helper).
+/// Fetches `path` from a running HTTP listener (test/tooling helper).
 pub fn http_get(addr: SocketAddr, path: &str) -> std::io::Result<(String, String)> {
     let mut stream = TcpStream::connect(addr)?;
     write!(stream, "GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n")?;
@@ -473,11 +295,17 @@ pub fn http_get(addr: SocketAddr, path: &str) -> std::io::Result<(String, String
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admission::AdmissionControl;
+    use crate::server::{Protocol, Server};
+    use crate::service::FerretService;
     use ferret_attr::AttrsBuilder;
     use ferret_core::engine::EngineConfig;
     use ferret_core::object::{DataObject, ObjectId};
     use ferret_core::sketch::SketchParams;
     use ferret_core::vector::FeatureVector;
+    use parking_lot::RwLock;
+    use std::net::TcpListener;
+    use std::sync::Arc;
 
     fn service() -> Arc<RwLock<FerretService>> {
         let config = EngineConfig::basic(
@@ -499,6 +327,17 @@ mod tests {
             .unwrap();
         }
         Arc::new(RwLock::new(svc))
+    }
+
+    /// A dispatcher with no admission limit.
+    fn dispatcher(svc: &Arc<RwLock<FerretService>>) -> Dispatcher {
+        Dispatcher::new(Arc::clone(svc), Arc::new(AdmissionControl::new(0, None)))
+    }
+
+    /// Serves the web interface for `svc` on an ephemeral loopback port.
+    fn web(svc: Arc<RwLock<FerretService>>) -> Server {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        Server::start(listener, Protocol::Http, 4, Arc::new(dispatcher(&svc))).unwrap()
     }
 
     #[test]
@@ -528,29 +367,55 @@ mod tests {
 
     #[test]
     fn routes_without_network() {
-        let svc = service();
-        let (status, _, body) = route(&svc, "/stat");
+        let d = dispatcher(&service());
+        let (status, _, body) = route(&d, "/stat");
         assert_eq!(status, "200 OK");
         assert!(body.contains("\"objects\":4"), "{body}");
-        let (status, _, body) = route(&svc, "/search?id=0&k=2&mode=brute");
+        let (status, _, body) = route(&d, "/search?id=0&k=2&mode=brute");
         assert_eq!(status, "200 OK");
         assert!(body.contains("\"id\":0"), "{body}");
-        let (status, _, body) = route(&svc, "/attr?q=parity%3Aeven");
+        let (status, _, body) = route(&d, "/attr?q=parity%3Aeven");
         assert_eq!(status, "200 OK");
         assert!(body.contains("\"ids\":[0,2]"), "{body}");
-        let (status, _, _) = route(&svc, "/nope");
+        let (status, _, _) = route(&d, "/nope");
         assert_eq!(status, "404 Not Found");
-        let (status, _, body) = route(&svc, "/search?id=99");
+        let (status, _, body) = route(&d, "/search?id=99");
         assert_eq!(status, "400 Bad Request");
         assert!(body.contains("unknown object"), "{body}");
-        let (_, ctype, body) = route(&svc, "/");
+        let (_, ctype, body) = route(&d, "/");
         assert!(ctype.contains("text/html"));
         assert!(body.contains("<form"));
     }
 
+    /// `/search` takes the protocol's keys one value each: a value cannot
+    /// set another key, and an unknown key is refused by name.
+    #[test]
+    fn search_takes_exactly_the_protocol_keys() {
+        let d = dispatcher(&service());
+        let (status, _, body) = route(&d, "/search?id=0&k=2%20k%3D7&mode=brute");
+        assert_eq!(status, "400 Bad Request");
+        assert!(body.contains("invalid k"), "{body}");
+        let (status, _, body) = route(&d, "/search?id=0&k=2&bogus=1");
+        assert_eq!(status, "400 Bad Request");
+        assert!(body.contains("bogus"), "{body}");
+        let (status, _, body) = route(&d, "/search?id=0&k=3&mode=brute&weights=1");
+        assert_eq!(status, "200 OK", "{body}");
+        assert_eq!(body.matches("\"id\"").count(), 3, "{body}");
+        // The form's empty attr field is no filter; a filled one filters.
+        let (status, _, body) = route(&d, "/search?id=0&k=4&mode=brute&attr=");
+        assert_eq!(status, "200 OK", "{body}");
+        assert_eq!(body.matches("\"id\"").count(), 4, "{body}");
+        let (status, _, body) = route(&d, "/search?id=0&k=4&mode=brute&attr=parity%3Aodd");
+        assert_eq!(status, "200 OK", "{body}");
+        assert!(
+            !body.contains("\"id\":0,") && !body.contains("\"id\":2,"),
+            "{body}"
+        );
+    }
+
     #[test]
     fn http_server_end_to_end() {
-        let server = HttpServer::start(service(), "127.0.0.1:0").unwrap();
+        let server = web(service());
         let (status, body) = http_get(server.addr(), "/search?id=1&k=2&mode=sketch").unwrap();
         assert!(status.contains("200"), "{status}");
         assert!(body.starts_with("{\"ok\":true"), "{body}");
@@ -569,23 +434,24 @@ mod tests {
     fn metrics_and_trace_routes() {
         let svc = service();
         // Telemetry off: /metrics and /trace report their absence.
-        let (status, _, body) = route(&svc, "/metrics");
+        let (status, _, body) = route(&dispatcher(&svc), "/metrics");
         assert_eq!(status, "404 Not Found");
         assert!(body.contains("telemetry disabled"), "{body}");
 
         let registry = Arc::new(ferret_core::telemetry::MetricsRegistry::new());
         svc.write().enable_telemetry(Arc::clone(&registry));
-        let (status, _, body) = route(&svc, "/trace");
+        let d = dispatcher(&svc);
+        let (status, _, body) = route(&d, "/trace");
         assert_eq!(status, "404 Not Found");
         assert!(body.contains("no trace recorded"), "{body}");
-        let (status, _, body) = route(&svc, "/trace?id=borked");
+        let (status, _, body) = route(&d, "/trace?id=borked");
         assert_eq!(status, "400 Bad Request");
         assert!(body.contains("invalid id"), "{body}");
 
         // A query populates both the registry and the trace ring.
-        let (status, _, _) = route(&svc, "/search?id=0&k=2&mode=filter");
+        let (status, _, _) = route(&d, "/search?id=0&k=2&mode=filter");
         assert_eq!(status, "200 OK");
-        let (status, ctype, body) = route(&svc, "/metrics");
+        let (status, ctype, body) = route(&d, "/metrics");
         assert_eq!(status, "200 OK");
         assert!(ctype.starts_with("text/plain"), "{ctype}");
         assert!(
@@ -593,10 +459,15 @@ mod tests {
             "{body}"
         );
         assert!(body.contains("ferret_query_seconds_count"), "{body}");
-        let (status, _, body) = route(&svc, "/trace");
+        // The query's wait for the service lock was recorded.
+        assert!(
+            body.contains("ferret_lock_wait_seconds_count{lock=\"read\"} 1"),
+            "{body}"
+        );
+        let (status, _, body) = route(&d, "/trace");
         assert_eq!(status, "200 OK");
         assert!(body.contains("\"mode\":\"filtering\""), "{body}");
-        let (status, _, body) = route(&svc, "/trace?id=999");
+        let (status, _, body) = route(&d, "/trace?id=999");
         assert_eq!(status, "404 Not Found");
         assert!(body.contains("no trace"), "{body}");
     }
@@ -612,7 +483,7 @@ mod tests {
 
     #[test]
     fn malformed_request_lines_get_400_not_dropped() {
-        let server = HttpServer::start(service(), "127.0.0.1:0").unwrap();
+        let server = web(service());
         let addr = server.addr();
         // No target or version at all.
         assert!(raw_request(addr, "GET\r\n\r\n").contains("400"));
@@ -634,17 +505,16 @@ mod tests {
         let registry = Arc::new(ferret_core::telemetry::MetricsRegistry::new());
         svc.write().enable_telemetry(Arc::clone(&registry));
         let admission = Arc::new(AdmissionControl::new(1, Some(&registry)));
+        let d = Dispatcher::new(Arc::clone(&svc), Arc::clone(&admission));
         let held = admission.try_admit().unwrap();
-        let (status, _, body) =
-            route_with(&svc, Some(&admission), None, "/search?id=0&k=2&mode=brute");
+        let (status, _, body) = route(&d, "/search?id=0&k=2&mode=brute");
         assert_eq!(status, "503 Service Unavailable");
         assert!(body.contains("BUSY"), "{body}");
         // Non-query endpoints are never metered by admission.
-        let (status, _, _) = route_with(&svc, Some(&admission), None, "/stat");
+        let (status, _, _) = route(&d, "/stat");
         assert_eq!(status, "200 OK");
         drop(held);
-        let (status, _, _) =
-            route_with(&svc, Some(&admission), None, "/search?id=0&k=2&mode=brute");
+        let (status, _, _) = route(&d, "/search?id=0&k=2&mode=brute");
         assert_eq!(status, "200 OK");
         assert_eq!(
             registry.counter_value("ferret_rejected_total", &[]),
@@ -657,7 +527,7 @@ mod tests {
         let svc = service();
         let registry = Arc::new(ferret_core::telemetry::MetricsRegistry::new());
         svc.write().enable_telemetry(Arc::clone(&registry));
-        let server = HttpServer::start(svc, "127.0.0.1:0").unwrap();
+        let server = web(svc);
         let (status, _) = http_get(server.addr(), "/stat").unwrap();
         assert!(status.contains("200"));
         let (status, _) = http_get(server.addr(), "/definitely-not-real").unwrap();

@@ -2,8 +2,8 @@
 //!
 //! The query-facing layer of the Ferret toolkit: the command-line query
 //! protocol (paper §4.1.4), the composed search service (core engine +
-//! attribute search + transactional metadata), a TCP line-protocol server,
-//! and the minimal web interface (§4.3).
+//! attribute search + transactional metadata), and one server that speaks
+//! the line protocol or the minimal web interface (§4.3) on each listener.
 //!
 //! ```
 //! use ferret_core::engine::EngineConfig;
@@ -38,12 +38,11 @@ pub mod service;
 pub use admission::{AdmissionControl, AdmissionGuard};
 pub use cache::ResultCache;
 pub use fusion::{rrf_fuse, weighted_fuse, FusedHit};
-pub use http::HttpServer;
 pub use protocol::{
-    parse_command, render_error, render_reply, render_response, response_to_json, Command,
-    ProtocolError, BUSY_LINE, HELP_TEXT,
+    parse_command, parse_query, render_error, render_reply, render_response, response_to_json,
+    Command, ProtocolError, BUSY_LINE, HELP_TEXT,
 };
-pub use server::{Client, ServeConfig, Server};
+pub use server::{Client, Dispatcher, Protocol, Server};
 pub use service::{
     FerretService, RecoveryReport, Response, ServiceBuilder, ServiceError, CALIBRATION_KEY,
     CALIBRATION_TABLE, DEFAULT_TRACE_CAPACITY, FEATURES_TABLE,

@@ -288,6 +288,183 @@ fn parse_kv(token: &str) -> Result<(&str, &str), ProtocolError> {
         .ok_or_else(|| ProtocolError(format!("expected key=value, got {token:?}")))
 }
 
+/// Builds a `query` command from `(key, value)` pairs, validating each
+/// value and their combination. The line protocol's `key=value` tokens
+/// and `/search`'s decoded URL parameters both go through here, so the
+/// two surfaces accept the same keys; an unknown key or a value that does
+/// not parse is an error that names the key.
+pub fn parse_query<'a>(
+    pairs: impl IntoIterator<Item = (&'a str, &'a str)>,
+) -> Result<Command, ProtocolError> {
+    let mut id: Option<u64> = None;
+    let mut k = 10usize;
+    let mut mode = QueryMode::Filtering;
+    let mut filter = FilterParams::default();
+    let mut attr = None;
+    let mut weights = None;
+    let mut fusion_name: Option<String> = None;
+    let mut rrfk: Option<u32> = None;
+    let mut fw: Option<f64> = None;
+    let mut min_similarity: Option<f64> = None;
+    let mut limit: Option<usize> = None;
+    let mut json = false;
+    for (key, value) in pairs {
+        match key {
+            "id" => {
+                id = Some(
+                    value
+                        .parse()
+                        .map_err(|_| ProtocolError(format!("invalid id {value:?}")))?,
+                );
+            }
+            "k" => {
+                k = value
+                    .parse()
+                    .map_err(|_| ProtocolError(format!("invalid k {value:?}")))?;
+            }
+            "mode" => {
+                mode = match value {
+                    "brute" | "brute-force-original" => QueryMode::BruteForceOriginal,
+                    "sketch" | "brute-force-sketch" => QueryMode::BruteForceSketch,
+                    "filter" | "filtering" => QueryMode::Filtering,
+                    other => {
+                        return Err(ProtocolError(format!("unknown mode {other:?}")));
+                    }
+                };
+            }
+            "r" => {
+                filter.query_segments = value
+                    .parse()
+                    .map_err(|_| ProtocolError(format!("invalid r {value:?}")))?;
+            }
+            "cand" => {
+                filter.candidates_per_segment = value
+                    .parse()
+                    .map_err(|_| ProtocolError(format!("invalid cand {value:?}")))?;
+            }
+            "threshold" => {
+                filter.base_threshold = Some(
+                    value
+                        .parse()
+                        .map_err(|_| ProtocolError(format!("invalid threshold {value:?}")))?,
+                );
+            }
+            "attr" => attr = Some(value.to_string()),
+            "fusion" => {
+                match value {
+                    "none" | "rrf" | "weighted" => {}
+                    other => {
+                        return Err(ProtocolError(format!("unknown fusion {other:?}")));
+                    }
+                }
+                fusion_name = Some(value.to_string());
+            }
+            "rrfk" => {
+                let parsed: u32 = value
+                    .parse()
+                    .map_err(|_| ProtocolError(format!("invalid rrfk {value:?}")))?;
+                if parsed == 0 {
+                    return Err(ProtocolError("rrfk must be >= 1".into()));
+                }
+                rrfk = Some(parsed);
+            }
+            "fw" => {
+                let parsed: f64 = value
+                    .parse()
+                    .map_err(|_| ProtocolError(format!("invalid fw {value:?}")))?;
+                if !parsed.is_finite() || !(0.0..=1.0).contains(&parsed) {
+                    return Err(ProtocolError(format!("fw {value:?} outside [0, 1]")));
+                }
+                fw = Some(parsed);
+            }
+            "minsim" => {
+                let parsed: f64 = value
+                    .parse()
+                    .map_err(|_| ProtocolError(format!("invalid minsim {value:?}")))?;
+                if !parsed.is_finite() || !(0.0..=1.0).contains(&parsed) {
+                    return Err(ProtocolError(format!("minsim {value:?} outside [0, 1]")));
+                }
+                min_similarity = Some(parsed);
+            }
+            "limit" => {
+                let parsed: usize = value
+                    .parse()
+                    .map_err(|_| ProtocolError(format!("invalid limit {value:?}")))?;
+                if parsed == 0 {
+                    return Err(ProtocolError("limit must be >= 1".into()));
+                }
+                limit = Some(parsed);
+            }
+            "format" => {
+                json = match value {
+                    "text" => false,
+                    "json" => true,
+                    other => {
+                        return Err(ProtocolError(format!("unknown format {other:?}")));
+                    }
+                };
+            }
+            "weights" => {
+                let parsed: Result<Vec<f32>, _> = value.split(',').map(str::parse::<f32>).collect();
+                weights =
+                    Some(parsed.map_err(|_| ProtocolError(format!("invalid weights {value:?}")))?);
+            }
+            other => {
+                return Err(ProtocolError(format!("unknown parameter {other:?}")));
+            }
+        }
+    }
+    let id = id.ok_or_else(|| ProtocolError("query requires id=<n>".into()))?;
+    // Cross-parameter validation: fusion needs an attribute
+    // ranking to blend with, and each tuning knob belongs to
+    // exactly one fusion rule.
+    let fusion = match fusion_name.as_deref() {
+        None | Some("none") => {
+            if rrfk.is_some() {
+                return Err(ProtocolError("rrfk requires fusion=rrf".into()));
+            }
+            if fw.is_some() {
+                return Err(ProtocolError("fw requires fusion=weighted".into()));
+            }
+            FusionMode::None
+        }
+        Some("rrf") => {
+            if fw.is_some() {
+                return Err(ProtocolError("fw requires fusion=weighted".into()));
+            }
+            FusionMode::Rrf {
+                k: rrfk.unwrap_or(60),
+            }
+        }
+        Some("weighted") => {
+            if rrfk.is_some() {
+                return Err(ProtocolError("rrfk requires fusion=rrf".into()));
+            }
+            FusionMode::Weighted {
+                attr_weight: fw.unwrap_or(0.5),
+            }
+        }
+        Some(_) => unreachable!("fusion names validated at parse"),
+    };
+    if fusion != FusionMode::None && attr.is_none() {
+        return Err(ProtocolError(
+            "fusion requires attr=\"<expr>\" to rank against".into(),
+        ));
+    }
+    Ok(Command::Query {
+        id: ObjectId(id),
+        k,
+        mode,
+        filter,
+        attr,
+        weights,
+        fusion,
+        min_similarity,
+        limit,
+        json,
+    })
+}
+
 /// Parses one protocol line.
 pub fn parse_command(line: &str) -> Result<Command, ProtocolError> {
     let tokens = tokenize(line)?;
@@ -295,178 +472,12 @@ pub fn parse_command(line: &str) -> Result<Command, ProtocolError> {
         return Err(ProtocolError("empty command".into()));
     };
     match verb.as_str() {
-        "query" => {
-            let mut id: Option<u64> = None;
-            let mut k = 10usize;
-            let mut mode = QueryMode::Filtering;
-            let mut filter = FilterParams::default();
-            let mut attr = None;
-            let mut weights = None;
-            let mut fusion_name: Option<String> = None;
-            let mut rrfk: Option<u32> = None;
-            let mut fw: Option<f64> = None;
-            let mut min_similarity: Option<f64> = None;
-            let mut limit: Option<usize> = None;
-            let mut json = false;
-            for token in &tokens[1..] {
-                let (key, value) = parse_kv(token)?;
-                match key {
-                    "id" => {
-                        id = Some(
-                            value
-                                .parse()
-                                .map_err(|_| ProtocolError(format!("invalid id {value:?}")))?,
-                        );
-                    }
-                    "k" => {
-                        k = value
-                            .parse()
-                            .map_err(|_| ProtocolError(format!("invalid k {value:?}")))?;
-                    }
-                    "mode" => {
-                        mode = match value {
-                            "brute" | "brute-force-original" => QueryMode::BruteForceOriginal,
-                            "sketch" | "brute-force-sketch" => QueryMode::BruteForceSketch,
-                            "filter" | "filtering" => QueryMode::Filtering,
-                            other => {
-                                return Err(ProtocolError(format!("unknown mode {other:?}")));
-                            }
-                        };
-                    }
-                    "r" => {
-                        filter.query_segments = value
-                            .parse()
-                            .map_err(|_| ProtocolError(format!("invalid r {value:?}")))?;
-                    }
-                    "cand" => {
-                        filter.candidates_per_segment = value
-                            .parse()
-                            .map_err(|_| ProtocolError(format!("invalid cand {value:?}")))?;
-                    }
-                    "threshold" => {
-                        filter.base_threshold =
-                            Some(value.parse().map_err(|_| {
-                                ProtocolError(format!("invalid threshold {value:?}"))
-                            })?);
-                    }
-                    "attr" => attr = Some(value.to_string()),
-                    "fusion" => {
-                        match value {
-                            "none" | "rrf" | "weighted" => {}
-                            other => {
-                                return Err(ProtocolError(format!("unknown fusion {other:?}")));
-                            }
-                        }
-                        fusion_name = Some(value.to_string());
-                    }
-                    "rrfk" => {
-                        let parsed: u32 = value
-                            .parse()
-                            .map_err(|_| ProtocolError(format!("invalid rrfk {value:?}")))?;
-                        if parsed == 0 {
-                            return Err(ProtocolError("rrfk must be >= 1".into()));
-                        }
-                        rrfk = Some(parsed);
-                    }
-                    "fw" => {
-                        let parsed: f64 = value
-                            .parse()
-                            .map_err(|_| ProtocolError(format!("invalid fw {value:?}")))?;
-                        if !parsed.is_finite() || !(0.0..=1.0).contains(&parsed) {
-                            return Err(ProtocolError(format!("fw {value:?} outside [0, 1]")));
-                        }
-                        fw = Some(parsed);
-                    }
-                    "minsim" => {
-                        let parsed: f64 = value
-                            .parse()
-                            .map_err(|_| ProtocolError(format!("invalid minsim {value:?}")))?;
-                        if !parsed.is_finite() || !(0.0..=1.0).contains(&parsed) {
-                            return Err(ProtocolError(format!("minsim {value:?} outside [0, 1]")));
-                        }
-                        min_similarity = Some(parsed);
-                    }
-                    "limit" => {
-                        let parsed: usize = value
-                            .parse()
-                            .map_err(|_| ProtocolError(format!("invalid limit {value:?}")))?;
-                        if parsed == 0 {
-                            return Err(ProtocolError("limit must be >= 1".into()));
-                        }
-                        limit = Some(parsed);
-                    }
-                    "format" => {
-                        json = match value {
-                            "text" => false,
-                            "json" => true,
-                            other => {
-                                return Err(ProtocolError(format!("unknown format {other:?}")));
-                            }
-                        };
-                    }
-                    "weights" => {
-                        let parsed: Result<Vec<f32>, _> =
-                            value.split(',').map(str::parse::<f32>).collect();
-                        weights =
-                            Some(parsed.map_err(|_| {
-                                ProtocolError(format!("invalid weights {value:?}"))
-                            })?);
-                    }
-                    other => {
-                        return Err(ProtocolError(format!("unknown parameter {other:?}")));
-                    }
-                }
-            }
-            let id = id.ok_or_else(|| ProtocolError("query requires id=<n>".into()))?;
-            // Cross-parameter validation: fusion needs an attribute
-            // ranking to blend with, and each tuning knob belongs to
-            // exactly one fusion rule.
-            let fusion = match fusion_name.as_deref() {
-                None | Some("none") => {
-                    if rrfk.is_some() {
-                        return Err(ProtocolError("rrfk requires fusion=rrf".into()));
-                    }
-                    if fw.is_some() {
-                        return Err(ProtocolError("fw requires fusion=weighted".into()));
-                    }
-                    FusionMode::None
-                }
-                Some("rrf") => {
-                    if fw.is_some() {
-                        return Err(ProtocolError("fw requires fusion=weighted".into()));
-                    }
-                    FusionMode::Rrf {
-                        k: rrfk.unwrap_or(60),
-                    }
-                }
-                Some("weighted") => {
-                    if rrfk.is_some() {
-                        return Err(ProtocolError("rrfk requires fusion=rrf".into()));
-                    }
-                    FusionMode::Weighted {
-                        attr_weight: fw.unwrap_or(0.5),
-                    }
-                }
-                Some(_) => unreachable!("fusion names validated at parse"),
-            };
-            if fusion != FusionMode::None && attr.is_none() {
-                return Err(ProtocolError(
-                    "fusion requires attr=\"<expr>\" to rank against".into(),
-                ));
-            }
-            Ok(Command::Query {
-                id: ObjectId(id),
-                k,
-                mode,
-                filter,
-                attr,
-                weights,
-                fusion,
-                min_similarity,
-                limit,
-                json,
-            })
-        }
+        "query" => parse_query(
+            tokens[1..]
+                .iter()
+                .map(|t| parse_kv(t))
+                .collect::<Result<Vec<_>, _>>()?,
+        ),
         "attr" => {
             if tokens.len() < 2 {
                 return Err(ProtocolError("attr requires an expression".into()));

@@ -1,28 +1,26 @@
-//! TCP line-protocol server.
+//! One serving implementation for both surfaces.
 //!
 //! "When the core components of the toolkit run as a server, we found it
-//! very convenient to allow clients to issue queries" (paper §4.1.4). The
-//! server speaks the command-line protocol over TCP with a **bounded
-//! worker pool** over a shared service:
+//! very convenient to allow clients to issue queries" (paper §4.1.4). A
+//! [`Server`] serves one bound listener in one [`Protocol`]: the line
+//! protocol, or the web interface (§4.3), which is a thin front end over
+//! the same commands. Every listener runs the same code:
 //!
-//! * Commands are classified read vs. write ([`Command::is_read`]). Reads
-//!   execute through [`FerretService::execute_read`] under
-//!   `RwLock::read()`, so N connections run N queries concurrently —
-//!   each still using the engine's sharded scan internally. Only writes
-//!   (`delete`) take the exclusive lock.
-//! * A fixed number of worker threads ([`ServeConfig::workers`]) serve
-//!   connections from a bounded queue ([`ServeConfig::queue_depth`]);
-//!   when the queue is full, new connections get one `BUSY` line and are
-//!   closed instead of piling up.
-//! * Admission control ([`AdmissionControl`]) caps in-flight queries
-//!   across the process; a saturated server answers `BUSY` immediately
-//!   rather than queueing forever.
-//! * Shutdown drains gracefully: workers finish the command in flight,
+//! * One accept loop blocks in `accept` and hands each connection to the
+//!   listener's own fixed pool of workers through a bounded queue (four
+//!   connections per worker). When the queue is full, a new connection
+//!   gets one `BUSY` line or a 503 and is closed.
+//! * One [`Dispatcher`], shared by every listener, runs each command: a
+//!   similarity query is admitted by the [`AdmissionControl`] first, then
+//!   the service lock is taken, shared for reads ([`Command::is_read`])
+//!   and exclusive for `delete`, and the wait is recorded. A saturated
+//!   server answers `BUSY`/503 at once instead of queueing.
+//! * Stopping drains gracefully: workers finish the command in flight,
 //!   then close their connections.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -32,52 +30,92 @@ use parking_lot::RwLock;
 use ferret_core::telemetry::MetricsRegistry;
 
 use crate::admission::AdmissionControl;
-use crate::protocol::{parse_command, render_error, render_reply, Command, BUSY_LINE};
-use crate::service::FerretService;
+use crate::protocol::{parse_command, render_error, render_reply, Command, Response, BUSY_LINE};
+use crate::service::{FerretService, ServiceError};
 
-/// Serving configuration shared by the TCP and HTTP servers.
-#[derive(Debug, Clone)]
-pub struct ServeConfig {
-    /// Worker threads serving connections. A connection occupies its
-    /// worker until it disconnects, so this also bounds concurrently
-    /// *connected* clients.
-    pub workers: usize,
-    /// Connections allowed to wait for a free worker before new arrivals
-    /// are turned away with a `BUSY` line.
-    pub queue_depth: usize,
-    /// Maximum queries executing at once across all connections
-    /// (`0` = unlimited); excess queries get `BUSY`/503.
-    pub max_inflight: usize,
-    /// Artificial latency injected per admitted query (slot held while
-    /// sleeping) — a load/soak-testing knob, `None` in production.
-    pub hold: Option<Duration>,
+/// Runs the commands of every connection of every listener: one service,
+/// one admission controller, and the one place that takes the service
+/// lock.
+pub struct Dispatcher {
+    service: Arc<RwLock<FerretService>>,
+    admission: Arc<AdmissionControl>,
+    registry: Option<Arc<MetricsRegistry>>,
 }
 
-impl Default for ServeConfig {
-    fn default() -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .max(4);
+impl Dispatcher {
+    /// A dispatcher over `service` whose similarity queries `admission`
+    /// meters. Share one between listeners to cap in-flight queries
+    /// across both surfaces.
+    pub fn new(service: Arc<RwLock<FerretService>>, admission: Arc<AdmissionControl>) -> Self {
+        let registry = service.read().telemetry().cloned();
         Self {
-            workers,
-            queue_depth: 4 * workers,
-            max_inflight: 4 * workers,
-            hold: None,
+            service,
+            admission,
+            registry,
+        }
+    }
+
+    pub(crate) fn service(&self) -> &RwLock<FerretService> {
+        &self.service
+    }
+
+    pub(crate) fn registry(&self) -> Option<&Arc<MetricsRegistry>> {
+        self.registry.as_ref()
+    }
+
+    /// Runs one command. A similarity query takes an admission slot
+    /// before the service lock and holds it until the command is done;
+    /// `None` means admission turned it away, and the surface answers
+    /// `BUSY`/503. The lock is shared for reads and exclusive for
+    /// writes, and its wait is recorded in `ferret_lock_wait_seconds`.
+    pub(crate) fn dispatch(&self, command: &Command) -> Option<Result<Response, ServiceError>> {
+        let _slot = match command {
+            Command::Query { .. } => Some(self.admission.try_admit()?),
+            _ => None,
+        };
+        let start = Instant::now();
+        if command.is_read() {
+            let svc = self.service.read();
+            self.observe_lock_wait("read", start.elapsed());
+            Some(svc.execute_read(command))
+        } else {
+            let mut svc = self.service.write();
+            self.observe_lock_wait("write", start.elapsed());
+            Some(svc.execute(command))
+        }
+    }
+
+    fn observe_lock_wait(&self, lock: &str, waited: Duration) {
+        if let Some(reg) = &self.registry {
+            reg.observe_latency(
+                "ferret_lock_wait_seconds",
+                "Time spent waiting for the service lock, by lock kind.",
+                &[("lock", lock)],
+                waited,
+            );
         }
     }
 }
 
-/// Shared state between an accept loop and its connection workers
-/// (used by both the TCP and HTTP servers).
-pub(crate) struct ConnQueue {
+/// What a listener speaks, which picks the handler of each connection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Protocol {
+    /// The line protocol (paper §4.1.4): a session of commands per
+    /// connection.
+    Line,
+    /// The web interface (§4.3): one HTTP request per connection.
+    Http,
+}
+
+/// Connections accepted but not yet taken by a worker.
+struct ConnQueue {
     queue: Mutex<VecDeque<TcpStream>>,
     ready: Condvar,
     depth: usize,
 }
 
 impl ConnQueue {
-    pub(crate) fn new(depth: usize) -> Self {
+    fn new(depth: usize) -> Self {
         Self {
             queue: Mutex::new(VecDeque::new()),
             ready: Condvar::new(),
@@ -94,7 +132,7 @@ impl ConnQueue {
 
     /// Enqueues a connection; on a full queue the stream is handed back
     /// so the caller can reject it.
-    pub(crate) fn push(&self, stream: TcpStream) -> Result<(), TcpStream> {
+    fn push(&self, stream: TcpStream) -> Result<(), TcpStream> {
         let mut q = self.lock();
         if q.len() >= self.depth {
             return Err(stream);
@@ -104,13 +142,8 @@ impl ConnQueue {
         Ok(())
     }
 
-    /// Wakes every waiting worker (used during shutdown).
-    pub(crate) fn notify_all(&self) {
-        self.ready.notify_all();
-    }
-
     /// Pops the next connection, or `None` once `shutdown` is set.
-    pub(crate) fn pop(&self, shutdown: &AtomicBool) -> Option<TcpStream> {
+    fn pop(&self, shutdown: &AtomicBool) -> Option<TcpStream> {
         let mut q = self.lock();
         loop {
             // ordering: Relaxed; flag only ends the wait loop, queue mutex + join order the rest
@@ -129,65 +162,7 @@ impl ConnQueue {
     }
 }
 
-/// Everything a connection worker needs to serve commands.
-struct ServeContext {
-    service: Arc<RwLock<FerretService>>,
-    admission: Arc<AdmissionControl>,
-    registry: Option<Arc<MetricsRegistry>>,
-    hold: Option<Duration>,
-}
-
-impl ServeContext {
-    fn observe_lock_wait(&self, lock: &str, waited: Duration) {
-        if let Some(reg) = &self.registry {
-            reg.observe_latency(
-                "ferret_lock_wait_seconds",
-                "Time spent waiting for the service lock, by lock kind.",
-                &[("lock", lock)],
-                waited,
-            );
-        }
-    }
-
-    /// Executes one parsed command with read/write dispatch, admission
-    /// control, and lock-wait accounting; returns the rendered reply.
-    fn dispatch(&self, command: &Command) -> String {
-        if command.is_read() {
-            // Similarity queries are the expensive reads; they are the
-            // unit admission control meters.
-            let _slot = if matches!(command, Command::Query { .. }) {
-                match self.admission.try_admit() {
-                    Some(guard) => Some(guard),
-                    None => return BUSY_LINE.to_string(),
-                }
-            } else {
-                None
-            };
-            let start = Instant::now();
-            let svc = self.service.read();
-            self.observe_lock_wait("read", start.elapsed());
-            let reply = match svc.execute_read(command) {
-                Ok(resp) => render_reply(command, &resp),
-                Err(e) => render_error(&e),
-            };
-            drop(svc);
-            if let (Some(hold), Command::Query { .. }) = (self.hold, command) {
-                std::thread::sleep(hold);
-            }
-            reply
-        } else {
-            let start = Instant::now();
-            let mut svc = self.service.write();
-            self.observe_lock_wait("write", start.elapsed());
-            match svc.execute(command) {
-                Ok(resp) => render_reply(command, &resp),
-                Err(e) => render_error(&e),
-            }
-        }
-    }
-}
-
-/// A running TCP server.
+/// A running listener: one accept loop feeding a fixed pool of workers.
 pub struct Server {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
@@ -195,81 +170,60 @@ pub struct Server {
 }
 
 impl Server {
-    /// Starts serving `service` on `addr` (use port 0 for an ephemeral
-    /// port) with default [`ServeConfig`] and a private admission
-    /// controller. Returns once the listener is bound.
-    pub fn start(service: Arc<RwLock<FerretService>>, addr: &str) -> std::io::Result<Self> {
-        let config = ServeConfig::default();
-        let registry = service.read().telemetry().cloned();
-        let admission = Arc::new(AdmissionControl::new(
-            config.max_inflight,
-            registry.as_ref(),
-        ));
-        Self::start_with(service, addr, config, admission)
-    }
-
-    /// Starts serving with an explicit configuration and admission
-    /// controller. Pass the same controller to the HTTP server to cap
-    /// in-flight queries across both surfaces.
-    pub fn start_with(
-        service: Arc<RwLock<FerretService>>,
-        addr: &str,
-        config: ServeConfig,
-        admission: Arc<AdmissionControl>,
+    /// Serves `listener` in `protocol` with `workers` threads (at least
+    /// one), running every command through `dispatcher`. The caller
+    /// binds, so a bad address fails before anything starts, and clients
+    /// that connect before this call wait in the listen backlog.
+    pub fn start(
+        listener: TcpListener,
+        protocol: Protocol,
+        workers: usize,
+        dispatcher: Arc<Dispatcher>,
     ) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
+        let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let shutdown_accept = Arc::clone(&shutdown);
-        let registry = service.read().telemetry().cloned();
-        let context = Arc::new(ServeContext {
-            service,
-            admission,
-            registry,
-            hold: config.hold,
-        });
-        let queue = Arc::new(ConnQueue::new(config.queue_depth));
-        // Nonblocking accept loop so shutdown is prompt.
-        listener.set_nonblocking(true)?;
-        let workers = config.workers.max(1);
+        let stop = Arc::clone(&shutdown);
+        let workers = workers.max(1);
+        let queue = Arc::new(ConnQueue::new(4 * workers));
         let handle = std::thread::spawn(move || {
             let pool: Vec<_> = (0..workers)
                 .map(|_| {
                     let queue = Arc::clone(&queue);
-                    let stop = Arc::clone(&shutdown_accept);
-                    let ctx = Arc::clone(&context);
+                    let stop = Arc::clone(&stop);
+                    let dispatcher = Arc::clone(&dispatcher);
                     std::thread::spawn(move || {
                         while let Some(stream) = queue.pop(&stop) {
-                            let _ = handle_connection(stream, &ctx, &stop);
+                            let _ = match protocol {
+                                Protocol::Line => serve_session(stream, &dispatcher, &stop),
+                                Protocol::Http => crate::http::serve_request(stream, &dispatcher),
+                            };
                         }
                     })
                 })
                 .collect();
-            loop {
-                // ordering: Relaxed; stop flag carries no data, stop()/drop join after
-                if shutdown_accept.load(Ordering::Relaxed) {
+            for stream in listener.incoming() {
+                // ordering: Acquire; pairs with the Release store in drop, which connects after it
+                if stop.load(Ordering::Acquire) {
                     break;
                 }
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        if let Err(mut rejected) = queue.push(stream) {
-                            // Queue full: one BUSY line, then close.
-                            let _ = rejected.write_all(BUSY_LINE.as_bytes());
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
+                let Ok(stream) = stream else { continue };
+                if let Err(mut rejected) = queue.push(stream) {
+                    let busy = match protocol {
+                        Protocol::Line => BUSY_LINE.to_string(),
+                        Protocol::Http => crate::http::busy_reply(),
+                    };
+                    let _ = rejected.write_all(busy.as_bytes());
                 }
             }
-            queue.notify_all();
+            // Refuse new connections while the workers drain.
+            drop(listener);
+            queue.ready.notify_all();
             for w in pool {
                 let _ = w.join();
             }
         });
         Ok(Self {
-            addr: local,
+            addr,
             shutdown,
             handle: Some(handle),
         })
@@ -280,65 +234,58 @@ impl Server {
         self.addr
     }
 
-    /// Signals shutdown and joins the accept loop and workers (graceful
-    /// drain: each worker finishes the command in flight first).
-    pub fn stop(mut self) {
-        // ordering: Relaxed; the join below is the real synchronization point
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+    /// Stops accepting, lets each worker finish the command in flight,
+    /// and joins them.
+    pub fn stop(self) {
+        drop(self);
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        // ordering: Relaxed; the join below is the real synchronization point
-        self.shutdown.store(true, Ordering::Relaxed);
+        // ordering: Release; pairs with the accept loop's Acquire load after the wake-up below
+        self.shutdown.store(true, Ordering::Release);
+        // The accept loop blocks until a connection arrives: make one.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(if wake.is_ipv4() {
+                Ipv4Addr::LOCALHOST.into()
+            } else {
+                Ipv6Addr::LOCALHOST.into()
+            });
+        }
+        let _ = TcpStream::connect(wake);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
     }
 }
 
-fn handle_connection(
+/// Serves one line-protocol session until the client quits or hangs up,
+/// or the server stops.
+fn serve_session(
     stream: TcpStream,
-    context: &ServeContext,
+    dispatcher: &Dispatcher,
     shutdown: &AtomicBool,
 ) -> std::io::Result<()> {
     stream.set_nodelay(true).ok();
+    // The timeout only lets the loop see a stop: a line that arrives in
+    // parts keeps its bytes across timeouts.
     stream
         .set_read_timeout(Some(Duration::from_millis(200)))
         .ok();
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     writer.write_all(b"ferret ready\n")?;
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         // ordering: Relaxed; graceful-drain check between commands, no data rides on it
         if shutdown.load(Ordering::Relaxed) {
             break;
         }
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => break, // EOF.
-            Ok(_) => {
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
-                    continue;
-                }
-                // Parse outside any lock; only execution needs the
-                // service.
-                let reply = match parse_command(trimmed) {
-                    Ok(cmd) => context.dispatch(&cmd),
-                    Err(e) => render_error(&e),
-                };
-                writer.write_all(reply.as_bytes())?;
-                writer.flush()?;
-                if reply.starts_with("OK bye") {
-                    break;
-                }
-            }
+        match reader.read_until(b'\n', &mut line) {
+            Ok(0) if line.is_empty() => break, // EOF.
+            Ok(_) => {}
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -347,12 +294,30 @@ fn handle_connection(
             }
             Err(_) => break,
         }
+        let reply = match String::from_utf8_lossy(&line).trim() {
+            "" => None,
+            trimmed => Some(match parse_command(trimmed) {
+                Ok(cmd) => match dispatcher.dispatch(&cmd) {
+                    None => BUSY_LINE.to_string(),
+                    Some(Ok(resp)) => render_reply(&cmd, &resp),
+                    Some(Err(e)) => render_error(&e),
+                },
+                Err(e) => render_error(&e),
+            }),
+        };
+        line.clear();
+        if let Some(reply) = reply {
+            writer.write_all(reply.as_bytes())?;
+            if reply.starts_with("OK bye") {
+                break;
+            }
+        }
     }
     Ok(())
 }
 
-/// A minimal blocking client for the line protocol (used by tools, tests,
-/// and the web interface).
+/// A minimal blocking client for the line protocol (used by tools and
+/// tests).
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
@@ -407,6 +372,7 @@ mod tests {
     use ferret_core::object::{DataObject, ObjectId};
     use ferret_core::sketch::SketchParams;
     use ferret_core::vector::FeatureVector;
+    use std::io::Read;
 
     fn service() -> Arc<RwLock<FerretService>> {
         let config = EngineConfig::basic(
@@ -426,9 +392,30 @@ mod tests {
         Arc::new(RwLock::new(svc))
     }
 
+    /// Serves `svc` on an ephemeral loopback port.
+    fn serve(
+        svc: &Arc<RwLock<FerretService>>,
+        protocol: Protocol,
+        workers: usize,
+        admission: Arc<AdmissionControl>,
+    ) -> Server {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let dispatcher = Arc::new(Dispatcher::new(Arc::clone(svc), admission));
+        Server::start(listener, protocol, workers, dispatcher).unwrap()
+    }
+
+    fn line_server(svc: &Arc<RwLock<FerretService>>) -> Server {
+        serve(
+            svc,
+            Protocol::Line,
+            4,
+            Arc::new(AdmissionControl::new(0, None)),
+        )
+    }
+
     #[test]
     fn query_over_tcp() {
-        let server = Server::start(service(), "127.0.0.1:0").unwrap();
+        let server = line_server(&service());
         let mut client = Client::connect(server.addr()).unwrap();
         let reply = client.send("query id=0 k=2 mode=brute").unwrap();
         let lines: Vec<&str> = reply.lines().collect();
@@ -440,7 +427,7 @@ mod tests {
 
     #[test]
     fn multiple_commands_one_connection() {
-        let server = Server::start(service(), "127.0.0.1:0").unwrap();
+        let server = line_server(&service());
         let mut client = Client::connect(server.addr()).unwrap();
         assert!(client.send("stat").unwrap().contains("objects 5"));
         assert!(client.send("help").unwrap().contains("delete id=<n>"));
@@ -451,7 +438,7 @@ mod tests {
 
     #[test]
     fn concurrent_clients() {
-        let server = Server::start(service(), "127.0.0.1:0").unwrap();
+        let server = line_server(&service());
         let addr = server.addr();
         let handles: Vec<_> = (0..4)
             .map(|_| {
@@ -473,11 +460,54 @@ mod tests {
     #[test]
     fn mutation_over_tcp_is_shared() {
         let svc = service();
-        let server = Server::start(Arc::clone(&svc), "127.0.0.1:0").unwrap();
+        let server = line_server(&svc);
         let mut client = Client::connect(server.addr()).unwrap();
         assert_eq!(client.send("delete id=4").unwrap(), "OK\n");
         assert_eq!(svc.read().engine().len(), 4);
         server.stop();
+    }
+
+    /// A line that arrives in parts, with more than one read timeout
+    /// between them, is still one command.
+    #[test]
+    fn a_line_split_across_read_timeouts_is_kept_whole() {
+        let server = line_server(&service());
+        let mut client = Client::connect(server.addr()).unwrap();
+        client.writer.write_all(b"query id=1 ").unwrap();
+        std::thread::sleep(Duration::from_millis(450));
+        let reply = client.send("k=2 mode=brute").unwrap();
+        assert!(reply.starts_with("OK 2"), "{reply}");
+        server.stop();
+    }
+
+    /// Every connection is accepted as it arrives: a fresh connection
+    /// per command costs about what a command on an open one does.
+    #[test]
+    fn sequential_connections_are_not_delayed() {
+        let svc = service();
+        let tcp = line_server(&svc);
+        let start = Instant::now();
+        for _ in 0..200 {
+            let mut client = Client::connect(tcp.addr()).unwrap();
+            assert!(client.send("stat").unwrap().starts_with("OK 4"));
+        }
+        let tcp_wall = start.elapsed();
+        tcp.stop();
+        let web = serve(
+            &svc,
+            Protocol::Http,
+            4,
+            Arc::new(AdmissionControl::new(0, None)),
+        );
+        let start = Instant::now();
+        for _ in 0..200 {
+            let (status, _) = crate::http::http_get(web.addr(), "/stat").unwrap();
+            assert!(status.contains("200"), "{status}");
+        }
+        let web_wall = start.elapsed();
+        web.stop();
+        assert!(tcp_wall < Duration::from_millis(500), "tcp: {tcp_wall:?}");
+        assert!(web_wall < Duration::from_millis(500), "http: {web_wall:?}");
     }
 
     #[test]
@@ -486,22 +516,12 @@ mod tests {
         let registry = Arc::new(ferret_core::telemetry::MetricsRegistry::new());
         svc.write().enable_telemetry(Arc::clone(&registry));
         let admission = Arc::new(AdmissionControl::new(1, Some(&registry)));
-        let config = ServeConfig {
-            workers: 4,
-            queue_depth: 8,
-            max_inflight: 1,
-            hold: Some(Duration::from_millis(400)),
-        };
-        let server = Server::start_with(
-            Arc::clone(&svc),
-            "127.0.0.1:0",
-            config,
-            Arc::clone(&admission),
-        )
-        .unwrap();
+        let server = serve(&svc, Protocol::Line, 4, Arc::clone(&admission));
         let addr = server.addr();
 
-        // One client occupies the single slot for ≥400ms...
+        // Holding the write lock makes the slow query wait on the read
+        // lock after it was admitted, so it keeps the single slot...
+        let gate = svc.write();
         let slow = std::thread::spawn(move || {
             let mut c = Client::connect(addr).unwrap();
             c.send("query id=0 k=2 mode=brute").unwrap()
@@ -538,6 +558,7 @@ mod tests {
             assert!(reply.starts_with("OK"), "{reply}");
         }
         assert!(saw_busy, "saturating the limit never produced BUSY");
+        drop(gate);
         assert!(slow.join().unwrap().starts_with("OK"));
         assert!(
             registry
@@ -556,19 +577,53 @@ mod tests {
         // A zero-slot controller rejects every query...
         let admission = Arc::new(AdmissionControl::new(1, Some(&registry)));
         let _held = admission.try_admit().unwrap();
-        let config = ServeConfig {
-            workers: 2,
-            queue_depth: 4,
-            max_inflight: 1,
-            hold: None,
-        };
-        let server =
-            Server::start_with(Arc::clone(&svc), "127.0.0.1:0", config, admission).unwrap();
+        let server = serve(&svc, Protocol::Line, 2, admission);
         let mut client = Client::connect(server.addr()).unwrap();
         // ...but stat/attr/help/delete still work.
         assert!(client.send("query id=0").unwrap().starts_with("ERR BUSY"));
         assert!(client.send("stat").unwrap().contains("objects 5"));
         assert_eq!(client.send("delete id=4").unwrap(), "OK\n");
         server.stop();
+    }
+
+    /// A client that connects and sends nothing holds an HTTP worker for
+    /// at most the request deadline: it neither blocks a stop nor, with
+    /// every worker taken, starves the next request.
+    #[test]
+    fn silent_http_clients_are_dropped_at_the_deadline() {
+        let svc = service();
+        let web = serve(
+            &svc,
+            Protocol::Http,
+            2,
+            Arc::new(AdmissionControl::new(0, None)),
+        );
+        let silent: Vec<_> = (0..2)
+            .map(|_| TcpStream::connect(web.addr()).unwrap())
+            .collect();
+        let start = Instant::now();
+        let (status, _) = crate::http::http_get(web.addr(), "/stat").unwrap();
+        assert!(status.contains("200"), "{status}");
+        assert!(
+            start.elapsed() < Duration::from_secs(3),
+            "{:?}",
+            start.elapsed()
+        );
+        // The silent connections were closed without a reply.
+        for mut s in silent {
+            let mut rest = String::new();
+            s.read_to_string(&mut rest).unwrap();
+            assert!(rest.is_empty(), "{rest}");
+        }
+
+        let _idle = TcpStream::connect(web.addr()).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        let start = Instant::now();
+        web.stop();
+        assert!(
+            start.elapsed() < Duration::from_secs(3),
+            "{:?}",
+            start.elapsed()
+        );
     }
 }

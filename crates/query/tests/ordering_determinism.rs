@@ -7,6 +7,7 @@
 //! reader is never newer than the entries that reader can hit, and the
 //! stop handshake still terminates every worker and accept loop.
 
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -16,7 +17,9 @@ use ferret_core::object::{DataObject, ObjectId};
 use ferret_core::sketch::SketchParams;
 use ferret_core::vector::FeatureVector;
 use ferret_query::protocol::Response;
-use ferret_query::{Client, FerretService, HttpServer, ResultCache, Server};
+use ferret_query::{
+    AdmissionControl, Client, Dispatcher, FerretService, Protocol, ResultCache, Server,
+};
 use parking_lot::RwLock;
 
 fn resp(id: u64) -> Response {
@@ -86,16 +89,25 @@ fn tiny_service() -> FerretService {
     svc
 }
 
-/// The TCP and HTTP servers' stop flags are `Relaxed`: the `join` in
-/// `stop()` is the real synchronization point. Repeatedly starting,
-/// exercising, and stopping both surfaces proves the handshake cannot
-/// hang — under a broken ordering this test wedges instead of failing.
+/// The workers' stop checks are `Relaxed`: the `join` in `stop()` is the
+/// real synchronization point, and the accept loop is woken by a
+/// connection. Repeatedly starting, exercising, and stopping both
+/// surfaces proves the handshake cannot hang — under a broken ordering
+/// this test wedges instead of failing.
 #[test]
 fn server_stop_handshake_terminates_under_relaxed_flags() {
     for round in 0..5 {
         let service = Arc::new(RwLock::new(tiny_service()));
-        let tcp = Server::start(Arc::clone(&service), "127.0.0.1:0").expect("tcp server");
-        let http = HttpServer::start(Arc::clone(&service), "127.0.0.1:0").expect("http server");
+        let dispatcher = Arc::new(Dispatcher::new(
+            service,
+            Arc::new(AdmissionControl::new(0, None)),
+        ));
+        let serve = |protocol| {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            Server::start(listener, protocol, 4, Arc::clone(&dispatcher)).expect("server")
+        };
+        let tcp = serve(Protocol::Line);
+        let http = serve(Protocol::Http);
 
         let mut client = Client::connect(tcp.addr()).expect("connect");
         let reply = client.send("stat").expect("stat");

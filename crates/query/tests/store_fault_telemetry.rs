@@ -11,10 +11,17 @@ use ferret_core::sketch::SketchParams;
 use ferret_core::telemetry::MetricsRegistry;
 use ferret_core::vector::FeatureVector;
 use ferret_query::http::route;
-use ferret_query::FerretService;
+use ferret_query::{AdmissionControl, Dispatcher, FerretService};
 use ferret_store::vfs::{FaultPlan, FaultVfs, StdVfs};
 use ferret_store::{DbOptions, Durability};
 use parking_lot::RwLock;
+
+/// Serves `GET /metrics` for `svc` without a listener.
+fn metrics(svc: FerretService) -> (&'static str, &'static str, String) {
+    let svc = Arc::new(RwLock::new(svc));
+    let dispatcher = Dispatcher::new(svc, Arc::new(AdmissionControl::new(0, None)));
+    route(&dispatcher, "/metrics")
+}
 
 fn config() -> EngineConfig {
     EngineConfig::basic(
@@ -70,8 +77,7 @@ fn injected_write_failure_counts_and_serves_in_metrics() {
         Some(1)
     );
 
-    let svc = Arc::new(RwLock::new(svc));
-    let (status, ctype, body) = route(&svc, "/metrics");
+    let (status, ctype, body) = metrics(svc);
     assert_eq!(status, "200 OK");
     assert!(ctype.starts_with("text/plain"), "{ctype}");
     assert!(
@@ -123,8 +129,7 @@ fn flush_and_checkpoint_failures_have_their_own_series() {
         Some(1)
     );
 
-    let svc = Arc::new(RwLock::new(svc));
-    let (status, _, body) = route(&svc, "/metrics");
+    let (status, _, body) = metrics(svc);
     assert_eq!(status, "200 OK");
     assert!(
         body.contains("ferret_store_errors_total{op=\"flush\"} 1"),

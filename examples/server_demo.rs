@@ -13,6 +13,7 @@
 // covers production durability, not harness artifacts.
 #![allow(clippy::disallowed_methods)]
 
+use std::net::TcpListener;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -26,7 +27,7 @@ use ferret::core::object::{DataObject, ObjectId};
 use ferret::core::plugin::FileExtractor;
 use ferret::core::sketch::SketchParams;
 use ferret::core::vector::FeatureVector;
-use ferret::query::{http, Client, FerretService, HttpServer, Server};
+use ferret::query::{http, AdmissionControl, Client, Dispatcher, FerretService, Protocol, Server};
 use ferret::store::{DbOptions, Durability};
 
 /// A toy extractor: each line of the file is one segment "x y w".
@@ -121,9 +122,18 @@ fn main() {
 
     let service = Arc::new(RwLock::new(service));
 
-    // Serve the command-line protocol over TCP and the web interface.
-    let tcp = Server::start(Arc::clone(&service), "127.0.0.1:0").expect("tcp server");
-    let web = HttpServer::start(Arc::clone(&service), "127.0.0.1:0").expect("http server");
+    // Serve the command-line protocol and the web interface, each on its
+    // own listener, through one dispatcher (no admission limit here).
+    let dispatcher = Arc::new(Dispatcher::new(
+        Arc::clone(&service),
+        Arc::new(AdmissionControl::new(0, None)),
+    ));
+    let serve = |protocol| {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        Server::start(listener, protocol, 2, Arc::clone(&dispatcher)).expect("server")
+    };
+    let tcp = serve(Protocol::Line);
+    let web = serve(Protocol::Http);
     println!(
         "tcp server on {}, web interface on http://{}/",
         tcp.addr(),

@@ -137,6 +137,15 @@ http_get "/search?id=0&k=2&mode=filter&attr=ext:fvec" | grep -q '"results":\[{"i
 # Fused ranking over the same predicate.
 http_get "/search?id=0&k=2&mode=brute&attr=ext:fvec&fusion=rrf" | grep -q '"results":\[{"id":' \
     || { echo "fused /search failed"; exit 1; }
+# /search takes the protocol's query keys, one value each: a value that
+# carries another key, or a key the protocol does not know, is a 400.
+# (Matched in the shell, not through a pipe that can close under the
+# writer.)
+for target in '/search?id=0&k=2%20k%3D7' '/search?id=0&k=2&bogus=1'; do
+    REPLY_400="$(http_get "$target")"
+    [[ "$REPLY_400" == "HTTP/1.1 400 "* ]] \
+        || { echo "$target did not answer 400:"; printf '%s\n' "$REPLY_400"; exit 1; }
+done
 METRICS="$(http_get /metrics)"
 kill "$SERVE_PID" 2>/dev/null || true
 echo "$METRICS" | head -n 1 | grep -q " 200 " \
@@ -207,11 +216,13 @@ timeout 20 target/release/ferret serve --db "$SMOKE_DIR/db-bad" --watch "$SMOKE_
     --dim 2 --index-layout segmented --tcp 127.0.0.1:0 --http 127.0.0.1:0 \
     > "$SMOKE_DIR/flag.log" 2>&1 || STATUS=$?
 [ "$STATUS" -eq 2 ] || { echo "serve --index-layout exited $STATUS, not 2:"; cat "$SMOKE_DIR/flag.log"; exit 1; }
-# An address serve cannot listen on is reported, not a panic.
+# An address serve cannot listen on is reported, not a panic, and before
+# any recovery work: the listeners are bound first.
 STATUS=0
 timeout 20 target/release/ferret serve --db "$SMOKE_DIR/db-bad" --watch "$SMOKE_DIR/watch" \
     --dim 2 --tcp not-an-address --http 127.0.0.1:0 > "$SMOKE_DIR/addr.log" 2>&1 || STATUS=$?
 [ "$STATUS" -eq 1 ] && grep -q '^error: cannot listen on not-an-address: ' "$SMOKE_DIR/addr.log" \
+    && ! grep -q '^initial scan' "$SMOKE_DIR/addr.log" \
     || { echo "serve --tcp not-an-address exited $STATUS:"; cat "$SMOKE_DIR/addr.log"; exit 1; }
 echo "calibration OK: retune exited 0, --bits 0 and an unknown flag exited 2, a bad address exited 1"
 

@@ -18,6 +18,7 @@
 //! it non-empty and without a calibration record; every later open
 //! sketches with that record, and only `retune` replaces it.
 
+use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -34,7 +35,7 @@ use ferret::core::sketch::SketchParams;
 use ferret::core::telemetry::MetricsRegistry;
 use ferret::datatypes::generic::FvecExtractor;
 use ferret::query::{
-    AdmissionControl, Client, FerretService, HttpServer, ServeConfig, Server, ServiceError,
+    AdmissionControl, Client, Dispatcher, FerretService, Protocol, Server, ServiceError,
 };
 use ferret::store::DbOptions;
 
@@ -350,8 +351,8 @@ fn cmd_retune(opts: &Options) {
     calibrate(&mut open_service(opts), opts, true);
 }
 
-/// The server a surface started, or exits 1 when it could not listen on
-/// `addr` (a busy port or an invalid address).
+/// The listener bound on `addr`, or the server started on it; exits 1
+/// when serve cannot listen there (a busy port or an invalid address).
 fn listening<T>(addr: &str, started: std::io::Result<T>) -> T {
     started.unwrap_or_else(|e| {
         eprintln!("error: cannot listen on {addr}: {e}");
@@ -361,6 +362,10 @@ fn listening<T>(addr: &str, started: std::io::Result<T>) -> T {
 
 fn cmd_serve(opts: &Options) {
     let watch = opts.watch.clone().unwrap_or_else(|| usage());
+    // Bind before recovery: a bad address fails at once, and clients that
+    // connect while the store recovers wait in the listen backlog.
+    let tcp = listening(&opts.tcp, TcpListener::bind(&opts.tcp));
+    let http = listening(&opts.http, TcpListener::bind(&opts.http));
     let mut service = open_service(opts);
     let start = Instant::now();
     let mut importer = open_importer(&service, &watch, opts.dim);
@@ -388,41 +393,35 @@ fn cmd_serve(opts: &Options) {
     }
     let service = Arc::new(RwLock::new(service));
 
-    // One serving configuration and one admission controller shared by
-    // both surfaces, so --max-inflight bounds the whole process.
-    let mut config = ServeConfig::default();
-    if let Some(workers) = opts.workers {
-        config.workers = workers;
-        config.queue_depth = 4 * workers.max(1);
-    }
-    if let Some(max) = opts.max_inflight {
-        config.max_inflight = max;
-    }
-    let admission = Arc::new(AdmissionControl::new(
-        config.max_inflight,
-        registry.as_ref(),
-    ));
+    let workers = opts
+        .workers
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+                .max(4)
+        })
+        .max(1);
+    let max_inflight = opts.max_inflight.unwrap_or(4 * workers);
+    // One dispatcher, and so one admission controller, for both
+    // listeners: --max-inflight bounds the whole process.
+    let admission = Arc::new(AdmissionControl::new(max_inflight, registry.as_ref()));
+    let dispatcher = Arc::new(Dispatcher::new(Arc::clone(&service), admission));
     let tcp = listening(
         &opts.tcp,
-        Server::start_with(
-            Arc::clone(&service),
-            &opts.tcp,
-            config.clone(),
-            Arc::clone(&admission),
-        ),
+        Server::start(tcp, Protocol::Line, workers, Arc::clone(&dispatcher)),
     );
     let http = listening(
         &opts.http,
-        HttpServer::start_with(Arc::clone(&service), &opts.http, config.clone(), admission),
+        Server::start(http, Protocol::Http, workers, dispatcher),
     );
     println!("query parallelism: {}", opts.threads);
     println!(
-        "serving: {} workers per surface, max in-flight queries {}",
-        config.workers,
-        if config.max_inflight == 0 {
+        "serving: {workers} workers per surface, max in-flight queries {}",
+        if max_inflight == 0 {
             "unlimited".to_string()
         } else {
-            config.max_inflight.to_string()
+            max_inflight.to_string()
         }
     );
     println!(

@@ -1,7 +1,14 @@
 //! Integration tests for concurrent query serving: several client
 //! connections querying a live server while a writer mutates the index,
 //! plus admission control across both serving surfaces.
+//!
+//! No test slows a query down to keep it in flight. A test that needs one
+//! held holds the service's write lock instead: a query is admitted before
+//! it takes the service lock, so it then waits on the read lock with its
+//! admission slot taken until the test lets go.
 
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -12,9 +19,7 @@ use ferret::core::object::{DataObject, ObjectId};
 use ferret::core::sketch::SketchParams;
 use ferret::core::telemetry::MetricsRegistry;
 use ferret::core::vector::FeatureVector;
-use ferret::query::{
-    http, AdmissionControl, Client, FerretService, HttpServer, ServeConfig, Server,
-};
+use ferret::query::{http, AdmissionControl, Client, Dispatcher, FerretService, Protocol, Server};
 
 fn config() -> EngineConfig {
     EngineConfig::basic(
@@ -25,6 +30,20 @@ fn config() -> EngineConfig {
 
 fn point(x: f32, y: f32) -> DataObject {
     DataObject::single(FeatureVector::new(vec![x, y]).unwrap())
+}
+
+/// Serves `dispatcher` in `protocol` on an ephemeral loopback port.
+fn serve(dispatcher: &Arc<Dispatcher>, protocol: Protocol, workers: usize) -> Server {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    Server::start(listener, protocol, workers, Arc::clone(dispatcher)).unwrap()
+}
+
+/// Polls until `done` holds, for at most ten seconds.
+fn wait_until(done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// A service whose first `n` objects cluster near the origin; background
@@ -63,16 +82,38 @@ fn concurrent_queries_match_serial_baseline_during_inserts() {
     }
 
     let admission = Arc::new(AdmissionControl::new(8, Some(&registry)));
-    let config = ServeConfig {
-        workers: 6,
-        queue_depth: 12,
-        max_inflight: 8,
-        // A small hold keeps each admitted query in flight long enough
-        // for overlap to be observable on a single-core host.
-        hold: Some(Duration::from_millis(40)),
-    };
-    let server = Server::start_with(Arc::clone(&svc), "127.0.0.1:0", config, admission).unwrap();
+    let dispatcher = Arc::new(Dispatcher::new(Arc::clone(&svc), Arc::clone(&admission)));
+    let server = serve(&dispatcher, Protocol::Line, 6);
     let addr = server.addr();
+
+    // The clients' first queries are admitted and then wait on the read
+    // lock behind this gate, so at least two are in flight at once.
+    let gate = svc.write();
+    let writer_done = Arc::new(AtomicBool::new(false));
+    let clients: Vec<_> = (0..4)
+        .map(|i| {
+            let commands = commands.clone();
+            let baseline = baseline.clone();
+            let writer_done = Arc::clone(&writer_done);
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                // At least eight rounds, and on until every insert landed.
+                for round in 0.. {
+                    if round >= 8 && writer_done.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    let idx = (i + round) % commands.len();
+                    let reply = client.send(&commands[idx]).unwrap();
+                    assert_eq!(
+                        reply, baseline[idx],
+                        "client {i} round {round} diverged from serial baseline"
+                    );
+                }
+            })
+        })
+        .collect();
+    wait_until(|| admission.inflight() >= 2);
+    drop(gate);
 
     // Background writer: inserts far-away objects through the write lock
     // while the clients are querying.
@@ -86,28 +127,11 @@ fn concurrent_queries_match_serial_baseline_during_inserts() {
             std::thread::sleep(Duration::from_millis(10));
         }
     });
-
-    let clients: Vec<_> = (0..4)
-        .map(|i| {
-            let commands = commands.clone();
-            let baseline = baseline.clone();
-            std::thread::spawn(move || {
-                let mut client = Client::connect(addr).unwrap();
-                for round in 0..8 {
-                    let idx = (i + round) % commands.len();
-                    let reply = client.send(&commands[idx]).unwrap();
-                    assert_eq!(
-                        reply, baseline[idx],
-                        "client {i} round {round} diverged from serial baseline"
-                    );
-                }
-            })
-        })
-        .collect();
+    writer.join().unwrap();
+    writer_done.store(true, Ordering::Relaxed);
     for c in clients {
         c.join().unwrap();
     }
-    writer.join().unwrap();
 
     let peak = registry.gauge("ferret_inflight_queries_peak", "", &[]);
     assert!(
@@ -226,34 +250,15 @@ fn shared_admission_rejects_across_surfaces() {
     let registry = Arc::new(MetricsRegistry::new());
     svc.write().enable_telemetry(Arc::clone(&registry));
     let admission = Arc::new(AdmissionControl::new(1, Some(&registry)));
-    let config = ServeConfig {
-        workers: 2,
-        queue_depth: 4,
-        max_inflight: 1,
-        hold: Some(Duration::from_millis(400)),
-    };
-    let tcp = Server::start_with(
-        Arc::clone(&svc),
-        "127.0.0.1:0",
-        config.clone(),
-        Arc::clone(&admission),
-    )
-    .unwrap();
-    let http_cfg = ServeConfig {
-        hold: None,
-        ..config
-    };
-    let web = HttpServer::start_with(
-        Arc::clone(&svc),
-        "127.0.0.1:0",
-        http_cfg,
-        Arc::clone(&admission),
-    )
-    .unwrap();
+    let dispatcher = Arc::new(Dispatcher::new(Arc::clone(&svc), Arc::clone(&admission)));
+    let tcp = serve(&dispatcher, Protocol::Line, 2);
+    let web = serve(&dispatcher, Protocol::Http, 2);
     let tcp_addr = tcp.addr();
     let web_addr = web.addr();
 
-    // Occupy the single slot over TCP for >=400ms...
+    // Occupy the single slot over TCP: the query is admitted and then
+    // waits on the read lock behind this gate...
+    let gate = svc.write();
     let slow = std::thread::spawn(move || {
         let mut client = Client::connect(tcp_addr).unwrap();
         client.send("query id=0 k=2 mode=brute").unwrap()
@@ -282,6 +287,7 @@ fn shared_admission_rejects_across_surfaces() {
         assert!(status.contains("200"), "{status}");
     }
     assert!(saw_503, "saturating the shared limit never produced a 503");
+    drop(gate);
     assert!(slow.join().unwrap().starts_with("OK"));
     assert!(
         registry
@@ -304,33 +310,30 @@ fn shared_admission_rejects_across_surfaces() {
 #[test]
 fn shutdown_drains_in_flight_commands() {
     let svc = clustered_service(6);
-    let config = ServeConfig {
-        workers: 2,
-        queue_depth: 4,
-        max_inflight: 0,
-        hold: Some(Duration::from_millis(150)),
-    };
     let admission = Arc::new(AdmissionControl::new(0, None));
-    let server = Server::start_with(
-        Arc::clone(&svc),
-        "127.0.0.1:0",
-        config,
-        Arc::clone(&admission),
-    )
-    .unwrap();
+    let dispatcher = Arc::new(Dispatcher::new(Arc::clone(&svc), Arc::clone(&admission)));
+    let server = serve(&dispatcher, Protocol::Line, 2);
     let addr = server.addr();
+    // The query is admitted, then waits on the read lock behind the gate.
+    let gate = svc.write();
     let inflight = std::thread::spawn(move || {
         let mut client = Client::connect(addr).unwrap();
         client.send("query id=0 k=2 mode=brute").unwrap()
     });
     // Wait until the query is actually admitted (a fixed sleep loses
-    // this race on a loaded 1-core host), then stop mid-hold.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while admission.inflight() == 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    // this race on a loaded 1-core host), then stop mid-query.
+    wait_until(|| admission.inflight() > 0);
     assert!(admission.inflight() > 0, "query was never admitted");
-    server.stop();
+    let stopping = std::thread::spawn(move || server.stop());
+    // The stop has begun once the listener is closed; only then may the
+    // query finish.
+    wait_until(|| TcpStream::connect(addr).is_err());
+    assert!(
+        TcpStream::connect(addr).is_err(),
+        "the stop never closed the listener"
+    );
+    drop(gate);
+    stopping.join().unwrap();
     let reply = inflight.join().unwrap();
     assert!(reply.starts_with("OK 2"), "{reply}");
 }

@@ -6,6 +6,7 @@
 // covers production durability, not harness artifacts.
 #![allow(clippy::disallowed_methods)]
 
+use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -19,7 +20,9 @@ use ferret::core::object::{DataObject, ObjectId};
 use ferret::core::plugin::FileExtractor;
 use ferret::core::sketch::SketchParams;
 use ferret::core::vector::FeatureVector;
-use ferret::query::{http, Client, FerretService, HttpServer, Server, ServiceError};
+use ferret::query::{
+    http, AdmissionControl, Client, Dispatcher, FerretService, Protocol, Server, ServiceError,
+};
 
 fn config() -> EngineConfig {
     EngineConfig::basic(
@@ -30,6 +33,20 @@ fn config() -> EngineConfig {
 
 fn point(x: f32, y: f32) -> DataObject {
     DataObject::single(FeatureVector::new(vec![x, y]).unwrap())
+}
+
+/// Serves `svc` in `protocol` on an ephemeral loopback port.
+fn serve(svc: Arc<RwLock<FerretService>>, protocol: Protocol) -> Server {
+    let registry = svc.read().telemetry().cloned();
+    let admission = Arc::new(AdmissionControl::new(0, registry.as_ref()));
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    Server::start(
+        listener,
+        protocol,
+        4,
+        Arc::new(Dispatcher::new(svc, admission)),
+    )
+    .unwrap()
 }
 
 fn shared_service(n: u64) -> Arc<RwLock<FerretService>> {
@@ -52,7 +69,7 @@ fn shared_service(n: u64) -> Arc<RwLock<FerretService>> {
 
 #[test]
 fn tcp_protocol_full_session() {
-    let server = Server::start(shared_service(10), "127.0.0.1:0").unwrap();
+    let server = serve(shared_service(10), Protocol::Line);
     let mut client = Client::connect(server.addr()).unwrap();
 
     let stat = client.send("stat").unwrap();
@@ -81,7 +98,7 @@ fn tcp_protocol_full_session() {
 
 #[test]
 fn web_interface_serves_json_and_html() {
-    let server = HttpServer::start(shared_service(6), "127.0.0.1:0").unwrap();
+    let server = serve(shared_service(6), Protocol::Http);
     let (status, body) = http::http_get(server.addr(), "/").unwrap();
     assert!(status.contains("200"));
     assert!(body.contains("<form"));
@@ -142,7 +159,7 @@ fn metrics_endpoint_end_to_end() {
     let svc = shared_service(8);
     let registry = Arc::new(ferret::core::telemetry::MetricsRegistry::new());
     svc.write().enable_telemetry(Arc::clone(&registry));
-    let server = HttpServer::start(svc, "127.0.0.1:0").unwrap();
+    let server = serve(svc, Protocol::Http);
 
     for id in [0, 3, 5] {
         let (status, _) =
@@ -323,7 +340,7 @@ fn acquisition_then_query_over_tcp() {
     let mut importer = Importer::new(&dir, PointsExtractor);
     importer.scan_once(&mut Sink(&mut svc)).unwrap();
 
-    let server = Server::start(Arc::new(RwLock::new(svc)), "127.0.0.1:0").unwrap();
+    let server = serve(Arc::new(RwLock::new(svc)), Protocol::Line);
     let mut client = Client::connect(server.addr()).unwrap();
     let reply = client.send("query id=0 k=2 mode=brute").unwrap();
     let lines: Vec<&str> = reply.lines().collect();
