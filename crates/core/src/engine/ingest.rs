@@ -2,12 +2,12 @@
 //! removals, and the re-sketching retune of paper §4.3.
 
 use std::collections::HashSet;
+use std::num::NonZeroUsize;
 use std::time::Duration;
 
 use super::{EngineBuilder, SearchEngine};
 use crate::error::{CoreError, Result};
 use crate::object::{DataObject, ObjectId};
-use crate::parallel::{try_map_chunked, DEFAULT_CHUNK};
 use crate::sketch::{SketchParams, SketchedObject};
 use crate::telemetry::StageClock;
 
@@ -35,8 +35,10 @@ impl SearchEngine {
         Ok(())
     }
 
-    /// Inserts a batch of objects, sketching them in parallel according
-    /// to the engine's [`Parallelism`] setting.
+    /// Inserts a batch of objects, sketching them with
+    /// [`SketchBuilder::sketch_objects`](crate::sketch::SketchBuilder::sketch_objects)
+    /// on one thread per available core (`available_parallelism`, which
+    /// honours CPU affinity and cgroup quotas).
     ///
     /// The whole batch is validated up front (duplicate ids — against the
     /// store *and* within the batch — and dimension mismatches), so a
@@ -56,15 +58,14 @@ impl SearchEngine {
                 });
             }
         }
-        let threads = self.config.parallelism.threads_for(items.len());
+        let threads = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let (ids, objects): (Vec<ObjectId>, Vec<DataObject>) = items.into_iter().unzip();
         let clock = StageClock::start(self.telemetry.is_some());
-        let sketched = try_map_chunked(threads, DEFAULT_CHUNK, &items, |_, (_, object)| {
-            self.builder.sketch_object(object)
-        })?;
+        let sketched = self.builder.sketch_objects(&objects, threads)?;
         if let Some(elapsed) = clock.elapsed() {
-            self.record_ingest_metrics(items.iter().map(|(_, o)| o), elapsed);
+            self.record_ingest_metrics(objects.iter(), elapsed);
         }
-        for ((id, object), so) in items.into_iter().zip(sketched) {
+        for ((id, object), so) in ids.into_iter().zip(objects).zip(sketched) {
             let segments = so.num_segments();
             let original = self.config.store_originals.then_some(object);
             self.storage.insert(id, so, original)?;

@@ -18,7 +18,6 @@ use crate::distance::{ObjectDistance, SegmentDistance};
 use crate::error::{CoreError, Result};
 use crate::filter::FilterParams;
 use crate::object::{DataObject, ObjectId};
-use crate::parallel::Parallelism;
 use crate::rank::SearchResult;
 use crate::sketch::{SketchBuilder, SketchParams, SketchedObject};
 use crate::storage::Storage;
@@ -106,10 +105,6 @@ pub struct EngineConfig {
     /// only internal data structures", §4.1.1); `BruteForceOriginal` queries
     /// are then rejected and `Filtering` ranks with sketches.
     pub store_originals: bool,
-    /// How many threads the query path (filtering scan, EMD ranking) and
-    /// batch sketch construction may use. Results are bit-identical for
-    /// every setting; this only trades wall-clock time for cores.
-    pub parallelism: Parallelism,
 }
 
 impl EngineConfig {
@@ -122,7 +117,6 @@ impl EngineConfig {
             seg_distance: Arc::new(crate::distance::lp::L1),
             ranking: RankingMethod::Emd,
             store_originals: true,
-            parallelism: Parallelism::Auto,
         }
     }
 }
@@ -343,10 +337,7 @@ pub struct EngineMemory {
 /// ```
 /// use ferret_core::prelude::*;
 /// let params = SketchParams::new(64, vec![0.0; 2], vec![1.0; 2]).unwrap();
-/// let engine = SearchEngine::builder(params, 42)
-///     .parallelism(Parallelism::Serial)
-///     .build()
-///     .unwrap();
+/// let engine = SearchEngine::builder(params, 42).build().unwrap();
 /// assert!(engine.is_empty());
 /// ```
 #[derive(Clone)]
@@ -385,12 +376,6 @@ impl EngineBuilder {
     /// Keeps (or drops) original feature vectors in memory.
     pub fn store_originals(mut self, store_originals: bool) -> Self {
         self.config.store_originals = store_originals;
-        self
-    }
-
-    /// Sets the parallelism budget.
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.config.parallelism = parallelism;
         self
     }
 
@@ -453,17 +438,6 @@ impl SearchEngine {
     /// The engine's full construction configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config
-    }
-
-    /// The engine's parallelism setting.
-    pub fn parallelism(&self) -> Parallelism {
-        self.config.parallelism
-    }
-
-    /// Changes the parallelism setting. Affects only wall-clock time:
-    /// results are bit-identical across settings.
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.config.parallelism = parallelism;
     }
 
     /// Enables (or disables, with `None`) telemetry collection. When
@@ -795,7 +769,6 @@ mod tests {
         for (id, o) in items.clone() {
             serial.insert(id, o).unwrap();
         }
-        batched.set_parallelism(Parallelism::Threads(3));
         batched.insert_batch(items).unwrap();
         assert_eq!(serial.ids(), batched.ids());
         for id in serial.ids() {
@@ -821,40 +794,6 @@ mod tests {
         ];
         assert!(batched.insert_batch(twice).is_err());
         assert!(!batched.contains(ObjectId(200)));
-    }
-
-    #[test]
-    fn queries_identical_across_parallelism_settings() {
-        let (mut e, q) = clustered_engine();
-        let opts = [
-            QueryOptions::brute_force(5),
-            QueryOptions::brute_force_sketch(5),
-            QueryOptions::filtering(
-                5,
-                FilterParams {
-                    query_segments: 2,
-                    candidates_per_segment: 4,
-                    ..FilterParams::default()
-                },
-            ),
-        ];
-        e.set_parallelism(Parallelism::Serial);
-        let baselines: Vec<_> = opts.iter().map(|o| e.query(&q, o).unwrap()).collect();
-        for p in [
-            Parallelism::Threads(2),
-            Parallelism::Threads(7),
-            Parallelism::Auto,
-        ] {
-            e.set_parallelism(p);
-            assert_eq!(e.parallelism(), p);
-            for (o, base) in opts.iter().zip(baselines.iter()) {
-                let resp = e.query(&q, o).unwrap();
-                assert_eq!(resp.results, base.results, "{p} {:?}", o.mode);
-                assert_eq!(resp.stats.objects_scanned, base.stats.objects_scanned);
-                assert_eq!(resp.stats.segments_scanned, base.stats.segments_scanned);
-                assert_eq!(resp.stats.distance_evals, base.stats.distance_evals);
-            }
-        }
     }
 
     #[test]

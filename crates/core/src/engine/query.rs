@@ -13,8 +13,7 @@ use crate::distance::ObjectDistance;
 use crate::error::{CoreError, Result};
 use crate::filter::filter_candidates_arena;
 use crate::object::{weight_sum, DataObject, ObjectId};
-use crate::parallel::{try_map_chunked, DEFAULT_CHUNK};
-use crate::rank::{rank_candidates_parallel, rank_scores, SearchResult};
+use crate::rank::{rank_candidates, rank_scores, SearchResult};
 use crate::sketch::SketchedObject;
 use crate::telemetry::{MetricsRegistry, QueryTrace, StageClock, StageTrace, Unit, SIZE_BUCKETS};
 
@@ -117,7 +116,7 @@ impl SearchEngine {
             Seed::Object(o) => {
                 let clock = StageClock::start(trace.is_some());
                 sketched = self.builder.sketch_object(o)?;
-                record_stage(&mut trace, |t| &mut t.sketch, clock, 1);
+                record_stage(&mut trace, |t| &mut t.sketch, clock);
                 Some(&sketched)
             }
         };
@@ -141,26 +140,23 @@ impl SearchEngine {
         // Rank stage: EMD over the originals, or the sketch estimate.
         let by_originals =
             options.mode != QueryMode::BruteForceSketch && self.config.store_originals;
-        let threads = self.config.parallelism.threads_for(candidates.len());
         let clock = StageClock::start(trace.is_some());
         let mut results = match (&seed, sketch) {
             (Seed::Object(query), _) if by_originals => {
                 let dist = self.object_distance_original();
-                let cands: Vec<(ObjectId, &DataObject)> = candidates
+                let cands = candidates
                     .iter()
-                    .filter_map(|&id| self.storage.object(id).map(|o| (id, o)))
-                    .collect();
-                rank_candidates_parallel(query, &cands, dist.as_ref(), options.k, threads)?
+                    .filter_map(|&id| self.storage.object(id).map(|o| (id, o)));
+                rank_candidates(query, cands, dist.as_ref(), options.k)?
             }
             (_, Some(qs)) => {
-                let cands: Vec<(ObjectId, &SketchedObject)> = candidates
-                    .iter()
-                    .filter_map(|&id| self.storage.sketch(id).map(|so| (id, so)))
-                    .collect();
-                let scored = try_map_chunked(threads, DEFAULT_CHUNK, &cands, |_, &(id, so)| {
-                    let distance = self.sketched_object_distance(qs, so)?;
-                    Ok(SearchResult { id, distance })
-                })?;
+                let mut scored = Vec::with_capacity(candidates.len());
+                for &id in &candidates {
+                    if let Some(so) = self.storage.sketch(id) {
+                        let distance = self.sketched_object_distance(qs, so)?;
+                        scored.push(SearchResult { id, distance });
+                    }
+                }
                 rank_scores(scored, options.k)
             }
             (_, None) => {
@@ -169,7 +165,7 @@ impl SearchEngine {
                 ))
             }
         };
-        record_stage(&mut trace, |t| &mut t.rank, clock, threads);
+        record_stage(&mut trace, |t| &mut t.rank, clock);
 
         // Finish: shape, then account for the query.
         options.apply_shape(&mut results);
@@ -216,8 +212,7 @@ impl SearchEngine {
             &options.filter,
             options.restrict.as_ref(),
         )?;
-        // The arena scan runs on the calling thread.
-        record_stage(trace, |t| &mut t.filter, clock, 1);
+        record_stage(trace, |t| &mut t.filter, clock);
         if let (Some(registry), Some(allowed)) = (&self.telemetry, &options.restrict) {
             // Predicate pushdown: count queries that carried a candidate
             // set and how many live objects it let the filter skip — the
@@ -294,10 +289,9 @@ fn record_stage(
     trace: &mut Option<QueryTrace>,
     stage: fn(&mut QueryTrace) -> &mut Option<StageTrace>,
     clock: StageClock,
-    threads: usize,
 ) {
     if let (Some(t), Some(duration)) = (trace.as_mut(), clock.elapsed()) {
-        *stage(t) = Some(StageTrace { duration, threads });
+        *stage(t) = Some(StageTrace { duration });
     }
 }
 

@@ -40,7 +40,7 @@ pub mod engine;
 pub mod error;
 pub mod filter;
 pub mod object;
-pub mod parallel;
+mod parallel;
 pub mod plugin;
 pub mod rank;
 pub mod series;
@@ -61,7 +61,6 @@ pub mod prelude {
     pub use crate::error::{CoreError, Result};
     pub use crate::filter::{FilterParams, FilterScan, FilterStats};
     pub use crate::object::{DataObject, ObjectId, Segment};
-    pub use crate::parallel::Parallelism;
     pub use crate::plugin::{Extractor, FileExtractor};
     pub use crate::rank::SearchResult;
     pub use crate::sketch::{BitVec, SketchBuilder, SketchParams, SketchedObject};

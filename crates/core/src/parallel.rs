@@ -1,113 +1,42 @@
-//! Parallel execution layer for the query path.
+//! Batch fan-out for sketch construction.
 //!
-//! The paper positions Ferret as a *toolkit*: the same filtering and
-//! ranking units must serve interactive single queries and bulk
-//! evaluation runs. This module provides the shared threading machinery
-//! both use — a [`Parallelism`] knob resolved to a concrete thread
-//! count and a work-stealing chunked map for irregular per-item work
-//! (EMD ranking, sketch construction), built on
+//! A query runs on the thread of the server worker that took it; the
+//! only work split across threads is batch sketching (import, recovery,
+//! retune, `insert_batch`), where nothing else runs. This module holds
+//! the one work-stealing chunked map that does it, built on
 //! [`std::thread::scope`] so borrowed data crosses into workers without
 //! `Arc` plumbing.
 //!
 //! # Determinism contract
 //!
-//! Every parallel entry point in this crate produces results
-//! *bit-identical* to its serial counterpart, for any thread count:
+//! [`try_map_chunked`] produces results *bit-identical* to a serial
+//! left-to-right map, for any thread count:
 //!
-//! - chunked maps reassemble outputs by item index before any
-//!   order-sensitive step (sorting, truncation) runs;
+//! - outputs are reassembled by item index;
 //! - when several items fail, the error reported is the one at the
-//!   lowest item index, matching what a serial left-to-right loop
-//!   surfaces.
+//!   lowest item index, matching what a serial loop surfaces.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::error::Result;
 
-/// How much parallelism the query path may use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Parallelism {
-    /// Single-threaded execution on the calling thread.
-    Serial,
-    /// Exactly this many worker threads (values below 1 behave as 1).
-    Threads(usize),
-    /// One worker per available hardware thread.
-    #[default]
-    Auto,
-}
-
-impl Parallelism {
-    /// Resolves to a concrete thread count (always at least 1).
-    pub fn resolve(&self) -> usize {
-        match self {
-            Parallelism::Serial => 1,
-            Parallelism::Threads(n) => (*n).max(1),
-            Parallelism::Auto => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        }
-    }
-
-    /// Thread count for a workload of `items` independent pieces: never
-    /// more threads than items, never fewer than 1.
-    pub fn threads_for(&self, items: usize) -> usize {
-        self.resolve().min(items).max(1)
-    }
-}
-
-impl std::fmt::Display for Parallelism {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Parallelism::Serial => f.write_str("serial"),
-            Parallelism::Threads(n) => write!(f, "threads({n})"),
-            Parallelism::Auto => f.write_str("auto"),
-        }
-    }
-}
-
-impl std::str::FromStr for Parallelism {
-    type Err = crate::error::CoreError;
-
-    /// Parses `serial`, `auto`, a bare thread count `N`, or the
-    /// [`Display`](std::fmt::Display) form `threads(N)`, so every value
-    /// round-trips through its own string representation.
-    fn from_str(s: &str) -> Result<Self> {
-        match s {
-            "serial" => Ok(Parallelism::Serial),
-            "auto" => Ok(Parallelism::Auto),
-            other => {
-                let digits = other
-                    .strip_prefix("threads(")
-                    .and_then(|rest| rest.strip_suffix(')'))
-                    .unwrap_or(other);
-                match digits.parse::<usize>() {
-                    Ok(n) if n >= 1 => Ok(Parallelism::Threads(n)),
-                    _ => Err(crate::error::CoreError::InvalidQuery(format!(
-                        "unknown parallelism {other:?} (expected serial, auto, N, or threads(N))"
-                    ))),
-                }
-            }
-        }
-    }
-}
-
 /// Items per claim of the work-stealing queue in [`try_map_chunked`].
 ///
-/// Small enough that an expensive straggler (one hard EMD instance)
+/// Small enough that an expensive straggler (one many-segment object)
 /// cannot leave other workers idle for long, large enough that the
 /// atomic claim is amortized over real work.
-pub const DEFAULT_CHUNK: usize = 8;
+pub(crate) const DEFAULT_CHUNK: usize = 8;
 
 /// Applies a fallible `work(index, &item)` to every item of `items` on
 /// `threads` scoped workers, returning outputs in item order.
 ///
 /// Workers claim fixed-size index chunks from a shared atomic counter
 /// (a work-stealing queue degenerated to a ticket counter), so uneven
-/// per-item cost — the norm for EMD, whose solver time depends on the
-/// segment counts of both objects — balances automatically. If any item
-/// fails, the error at the **lowest item index** is returned, matching
-/// the serial left-to-right loop. Worker panics propagate to the caller.
-pub fn try_map_chunked<T, U, F>(
+/// per-item cost — sketching time grows with an object's segment count
+/// — balances automatically. If any item fails, the error at the
+/// **lowest item index** is returned, matching the serial left-to-right
+/// loop. Worker panics propagate to the caller.
+pub(crate) fn try_map_chunked<T, U, F>(
     threads: usize,
     chunk_size: usize,
     items: &[T],
@@ -168,67 +97,26 @@ where
     // at its first failure, so the worker owning the chunk of the
     // globally-lowest failing index reports exactly that failure.
     let mut first_failure: Option<(usize, crate::error::CoreError)> = None;
-    let mut slots: Vec<Option<U>> = (0..items.len()).map(|_| None).collect();
-    for (produced, failure) in per_worker {
+    let mut produced: Vec<(usize, U)> = Vec::with_capacity(items.len());
+    for (outputs, failure) in per_worker {
         if let Some((i, e)) = failure {
             if first_failure.as_ref().is_none_or(|(fi, _)| i < *fi) {
                 first_failure = Some((i, e));
             }
         }
-        for (i, u) in produced {
-            slots[i] = Some(u);
-        }
+        produced.extend(outputs);
     }
     if let Some((_, e)) = first_failure {
         return Err(e);
     }
-    Ok(slots
-        .into_iter()
-        .map(|s| s.expect("no failure implies every index produced"))
-        .collect())
+    produced.sort_unstable_by_key(|&(i, _)| i);
+    Ok(produced.into_iter().map(|(_, u)| u).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::error::CoreError;
-
-    #[test]
-    fn parallelism_resolves() {
-        assert_eq!(Parallelism::Serial.resolve(), 1);
-        assert_eq!(Parallelism::Threads(4).resolve(), 4);
-        assert_eq!(Parallelism::Threads(0).resolve(), 1);
-        assert!(Parallelism::Auto.resolve() >= 1);
-        assert_eq!(Parallelism::Threads(8).threads_for(3), 3);
-        assert_eq!(Parallelism::Threads(2).threads_for(0), 1);
-        assert_eq!(Parallelism::default(), Parallelism::Auto);
-    }
-
-    #[test]
-    fn parallelism_displays() {
-        assert_eq!(Parallelism::Serial.to_string(), "serial");
-        assert_eq!(Parallelism::Threads(3).to_string(), "threads(3)");
-        assert_eq!(Parallelism::Auto.to_string(), "auto");
-    }
-
-    #[test]
-    fn parallelism_parse_roundtrip() {
-        for p in [
-            Parallelism::Serial,
-            Parallelism::Auto,
-            Parallelism::Threads(1),
-            Parallelism::Threads(7),
-        ] {
-            assert_eq!(p.to_string().parse::<Parallelism>().unwrap(), p);
-        }
-        assert_eq!("4".parse::<Parallelism>().unwrap(), Parallelism::Threads(4));
-        for bad in ["", "0", "threads(0)", "threads(", "fast", "-1"] {
-            assert!(
-                matches!(bad.parse::<Parallelism>(), Err(CoreError::InvalidQuery(_))),
-                "{bad:?} should be rejected"
-            );
-        }
-    }
 
     #[test]
     fn try_map_chunked_preserves_item_order() {

@@ -17,32 +17,23 @@ pub struct SearchResult {
     pub distance: f64,
 }
 
-/// Ranks candidates by object distance using `threads` worker threads.
-///
-/// Distances are computed per candidate on a work-stealing chunk queue
-/// (EMD cost varies with segment counts, so static partitioning would
-/// leave threads idle), then reassembled in candidate order before the
-/// `(distance, id)` sort — results are bit-identical to a serial ranking
-/// over the same slice for every thread count.
-pub fn rank_candidates_parallel<D>(
+/// Ranks candidates by object distance: at most `k` results by
+/// ascending distance, ties broken by object id.
+pub(crate) fn rank_candidates<'a, I, D>(
     query: &DataObject,
-    candidates: &[(ObjectId, &DataObject)],
+    candidates: I,
     distance: &D,
     k: usize,
-    threads: usize,
 ) -> Result<Vec<SearchResult>>
 where
+    I: IntoIterator<Item = (ObjectId, &'a DataObject)>,
     D: ObjectDistance + ?Sized,
 {
-    let mut results = crate::parallel::try_map_chunked(
-        threads,
-        crate::parallel::DEFAULT_CHUNK,
-        candidates,
-        |_, &(id, obj)| {
-            let d = distance.distance(query, obj)?;
-            Ok(SearchResult { id, distance: d })
-        },
-    )?;
+    let mut results = Vec::new();
+    for (id, obj) in candidates {
+        let d = distance.distance(query, obj)?;
+        results.push(SearchResult { id, distance: d });
+    }
     sort_and_truncate(&mut results, k);
     Ok(results)
 }
@@ -72,27 +63,6 @@ mod tests {
     use crate::distance::emd::Emd;
     use crate::distance::lp::L1;
     use crate::vector::FeatureVector;
-
-    /// The serial oracle for [`rank_candidates_parallel`]: at most `k`
-    /// results by ascending distance, ties broken by object id.
-    fn rank_candidates<'a, I, D>(
-        query: &DataObject,
-        candidates: I,
-        distance: &D,
-        k: usize,
-    ) -> Result<Vec<SearchResult>>
-    where
-        I: IntoIterator<Item = (ObjectId, &'a DataObject)>,
-        D: ObjectDistance + ?Sized,
-    {
-        let mut results = Vec::new();
-        for (id, obj) in candidates {
-            let d = distance.distance(query, obj)?;
-            results.push(SearchResult { id, distance: d });
-        }
-        sort_and_truncate(&mut results, k);
-        Ok(results)
-    }
 
     fn obj1(x: f32) -> DataObject {
         DataObject::single(FeatureVector::new(vec![x]).unwrap())
@@ -133,24 +103,6 @@ mod tests {
         let res = rank_candidates(&query, cands, &Emd::new(L1), 10).unwrap();
         assert_eq!(res[0].id, ObjectId(1));
         assert_eq!(res[1].id, ObjectId(9));
-    }
-
-    #[test]
-    fn parallel_ranking_matches_serial() {
-        let query = obj1(0.0);
-        // Include exact-tie distances to exercise id tie-breaking.
-        let objs: Vec<DataObject> = (0..30).map(|i| obj1((i % 7) as f32)).collect();
-        let cands: Vec<(ObjectId, &DataObject)> = objs
-            .iter()
-            .enumerate()
-            .map(|(i, o)| (ObjectId(i as u64), o))
-            .collect();
-        let emd = Emd::new(L1);
-        let serial = rank_candidates(&query, cands.iter().copied(), &emd, 12).unwrap();
-        for threads in [1usize, 2, 5, 16] {
-            let parallel = rank_candidates_parallel(&query, &cands, &emd, 12, threads).unwrap();
-            assert_eq!(serial, parallel, "threads {threads}");
-        }
     }
 
     #[test]

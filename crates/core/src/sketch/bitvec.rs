@@ -181,7 +181,12 @@ impl BitVec {
                 "bitvec bytes too short".into(),
             ));
         }
-        let len = u64::from_le_bytes(bytes[..8].try_into().expect("checked len")) as usize;
+        let le_u64 = |chunk: &[u8]| {
+            let mut raw = [0u8; 8];
+            raw.copy_from_slice(chunk);
+            u64::from_le_bytes(raw)
+        };
+        let len = le_u64(&bytes[..8]) as usize;
         let nwords = len.div_ceil(64);
         if bytes.len() != 8 + nwords * 8 {
             return Err(CoreError::InvalidSketchParams(format!(
@@ -189,11 +194,7 @@ impl BitVec {
                 bytes.len()
             )));
         }
-        let mut words = vec![0u64; nwords];
-        for (i, w) in words.iter_mut().enumerate() {
-            let start = 8 + i * 8;
-            *w = u64::from_le_bytes(bytes[start..start + 8].try_into().expect("checked len"));
-        }
+        let words: Vec<u64> = bytes[8..].chunks_exact(8).map(le_u64).collect();
         // Reject junk in trailing bits so equality and hashing stay sound.
         if !len.is_multiple_of(64) {
             if let Some(last) = words.last() {

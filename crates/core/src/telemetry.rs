@@ -329,7 +329,10 @@ impl MetricsRegistry {
                     family.kind.as_str()
                 );
                 if let Some(metric) = family.series.get(&key) {
-                    return get(metric).expect("kind checked above");
+                    match get(metric) {
+                        Some(m) => return m,
+                        None => unreachable!("every series of {name} has its family's kind"),
+                    }
                 }
             }
         }
@@ -346,7 +349,10 @@ impl MetricsRegistry {
             family.kind.as_str()
         );
         let metric = family.series.entry(key).or_insert_with(new);
-        get(metric).expect("kind checked above")
+        match get(metric) {
+            Some(m) => m,
+            None => unreachable!("every series of {name} has its family's kind"),
+        }
     }
 
     /// Gets or creates a counter series.
@@ -572,8 +578,6 @@ fn render_labels_with(labels: &LabelSet, extra_key: &str, extra_value: &str) -> 
 pub struct StageTrace {
     /// Wall-clock time spent in the stage.
     pub duration: Duration,
-    /// Worker threads the stage ran on (1 = on the calling thread).
-    pub threads: usize,
 }
 
 /// A per-query record of the pipeline's stage breakdown (paper §4.1.1:
@@ -612,11 +616,7 @@ impl QueryTrace {
     /// order) for the web interface's `/trace` endpoint.
     pub fn to_json(&self) -> String {
         let stage = |s: &Option<StageTrace>| match s {
-            Some(st) => format!(
-                "{{\"seconds\":{},\"threads\":{}}}",
-                format_f64(st.duration.as_secs_f64()),
-                st.threads
-            ),
+            Some(st) => format!("{{\"seconds\":{}}}", format_f64(st.duration.as_secs_f64())),
             None => "null".to_string(),
         };
         format!(
@@ -793,15 +793,12 @@ mod tests {
             total: Duration::from_millis(5),
             sketch: Some(StageTrace {
                 duration: Duration::from_micros(100),
-                threads: 1,
             }),
             filter: Some(StageTrace {
                 duration: Duration::from_millis(3),
-                threads: 4,
             }),
             rank: Some(StageTrace {
                 duration: Duration::from_millis(2),
-                threads: 2,
             }),
             objects_scanned: 100,
             segments_scanned: 250,
@@ -811,13 +808,10 @@ mod tests {
         };
         let json = trace.to_json();
         assert!(json.contains("\"mode\":\"filtering\""), "{json}");
-        assert!(
-            json.contains("\"sketch\":{\"seconds\":0.0001,\"threads\":1}"),
-            "{json}"
-        );
+        assert!(json.contains("\"sketch\":{\"seconds\":0.0001}"), "{json}");
         assert!(!json.contains("strategy"), "{json}");
         assert!(json.contains("\"candidates\":12"), "{json}");
-        assert!(json.contains("\"threads\":4"), "{json}");
+        assert!(json.contains("\"filter\":{\"seconds\":0.003}"), "{json}");
         assert!(json.ends_with("\"results\":10}"), "{json}");
         assert!(!json.contains("null") || trace.sketch.is_none());
     }

@@ -5,8 +5,8 @@
 //! ranking methods and a sketch-only engine, with and without an
 //! attribute restrict set, a weight override and result shaping. Each
 //! line pins the result ids with the bit patterns of their distances,
-//! the `QueryStats` counts, and which trace stages ran with how many
-//! candidates — or the error a rejected query reports. A change to the
+//! the `QueryStats` counts, and which trace stages ran (1) or not (0)
+//! with how many candidates — or the error a rejected query reports. A change to the
 //! query path must reproduce the fixture exactly.
 //!
 //! To regenerate after an *intentional* change of answers:
@@ -73,7 +73,6 @@ fn build(ranking: RankingMethod, store_originals: bool) -> SearchEngine {
     let mut engine = SearchEngine::builder(params, SEED)
         .ranking(ranking)
         .store_originals(store_originals)
-        .parallelism(Parallelism::Threads(2))
         .telemetry(Some(Arc::new(MetricsRegistry::new())))
         .build()
         .unwrap();
@@ -112,7 +111,7 @@ fn render(out: &mut String, label: &str, answer: Result<QueryResponse>) {
             )
             .unwrap();
             let t = resp.trace.expect("telemetry is on");
-            let stage = |st: &Option<StageTrace>| st.as_ref().map_or(0, |st| st.threads);
+            let stage = |st: &Option<StageTrace>| usize::from(st.is_some());
             write!(
                 out,
                 " stages={}/{}/{} cand={} res={} |",

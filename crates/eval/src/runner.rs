@@ -27,9 +27,6 @@ pub struct TimingStats {
     pub min: Duration,
     /// Maximum latency.
     pub max: Duration,
-    /// Worker threads the engine used per query (resolved from its
-    /// [`Parallelism`](ferret_core::parallel::Parallelism) setting).
-    pub threads: usize,
 }
 
 impl TimingStats {
@@ -43,7 +40,6 @@ impl TimingStats {
                 p95: Duration::ZERO,
                 min: Duration::ZERO,
                 max: Duration::ZERO,
-                threads: 1,
             };
         }
         durations.sort_unstable();
@@ -57,14 +53,7 @@ impl TimingStats {
             p95: pick(0.95),
             min: durations[0],
             max: durations[count - 1],
-            threads: 1,
         }
-    }
-
-    /// Records the worker-thread count the timed queries ran with.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 }
 
@@ -189,7 +178,7 @@ pub fn run_suite(
     let count = acc.count().max(1);
     Ok(SuiteResult {
         quality,
-        timing: TimingStats::from_durations(durations).with_threads(engine.parallelism().resolve()),
+        timing: TimingStats::from_durations(durations),
         avg_distance_evals: total_evals as f64 / count as f64,
         outcomes,
         stages: stages.finish(),
@@ -208,7 +197,7 @@ pub fn time_queries(
         let resp = engine.query_by_id(seed, options)?;
         durations.push(resp.stats.elapsed);
     }
-    Ok(TimingStats::from_durations(durations).with_threads(engine.parallelism().resolve()))
+    Ok(TimingStats::from_durations(durations))
 }
 
 #[cfg(test)]
@@ -285,19 +274,9 @@ mod tests {
         assert_eq!(stats.max, ms(100));
         assert_eq!(stats.mean, ms(40));
         assert_eq!(stats.p95, ms(100));
-        assert_eq!(stats.threads, 1);
-        assert_eq!(stats.with_threads(4).threads, 4);
         let empty = TimingStats::from_durations(vec![]);
         assert_eq!(empty.count, 0);
         assert_eq!(empty.mean, Duration::ZERO);
-    }
-
-    #[test]
-    fn timing_stats_record_engine_threads() {
-        let (mut engine, _) = engine_with_clusters();
-        engine.set_parallelism(ferret_core::parallel::Parallelism::Threads(3));
-        let stats = time_queries(&engine, &[ObjectId(0)], &QueryOptions::brute_force(2)).unwrap();
-        assert_eq!(stats.threads, 3);
     }
 
     #[test]

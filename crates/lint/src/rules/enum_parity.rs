@@ -15,10 +15,7 @@ use crate::source::SourceFile;
 const RULE: &str = "strategy-enum-parity";
 
 /// `(enum name, defining file)` pairs under contract.
-pub const ENUMS: &[(&str, &str)] = &[
-    ("Parallelism", "crates/core/src/parallel.rs"),
-    ("FusionMode", "crates/query/src/fusion.rs"),
-];
+pub const ENUMS: &[(&str, &str)] = &[("FusionMode", "crates/query/src/fusion.rs")];
 
 /// Files whose raw text constitutes "the CLI help" (usage strings and the
 /// serve protocol's HELP response live here).
@@ -91,7 +88,7 @@ pub fn check(repo: &Repo) -> Vec<Violation> {
         };
         let fromstr_lits = literals_in(f, fromstr);
         for (lit, offset) in literals_in(f, display) {
-            // Parameterized variants like `threads({n})` contribute their
+            // A parameterized variant like `name({n})` contributes its
             // literal prefix; pure placeholder/format strings are skipped.
             let norm = lit.split('{').next().unwrap_or("");
             if norm.trim().is_empty() {

@@ -390,7 +390,7 @@ fn pub_without_caller_above_baseline_fails_deny() {
 
 // ---------------------------------------------------- strategy-enum-parity --
 
-/// A consistent strategy-enum universe: each contracted enum has Display
+/// A consistent strategy-enum universe: the contracted enum has Display
 /// and FromStr over one literal, and every literal appears in the CLI
 /// help files and the README.
 fn parity_files(fusion_display: &str) -> Vec<(&'static str, String)> {
@@ -408,20 +408,16 @@ fn parity_files(fusion_display: &str) -> Vec<(&'static str, String)> {
     }
     vec![
         (
-            "crates/core/src/parallel.rs",
-            enum_src("Parallelism", "serial", "serial"),
-        ),
-        (
             "crates/query/src/fusion.rs",
             enum_src("FusionMode", fusion_display, "rrf"),
         ),
         (
             "src/bin/ferret.rs",
-            "const USAGE: &str = \"strategies: serial rrf\";\nfn main() {}\n".to_string(),
+            "const USAGE: &str = \"strategies: rrf\";\nfn main() {}\n".to_string(),
         ),
         (
             "crates/query/src/protocol.rs",
-            "pub const HELP: &str = \"serial rrf\";\n".to_string(),
+            "pub const HELP: &str = \"rrf\";\n".to_string(),
         ),
     ]
 }
@@ -429,7 +425,7 @@ fn parity_files(fusion_display: &str) -> Vec<(&'static str, String)> {
 fn parity_repo(fusion_display: &str) -> Repo {
     let files = parity_files(fusion_display);
     let refs: Vec<(&str, &str)> = files.iter().map(|(p, t)| (*p, t.as_str())).collect();
-    Repo::from_memory(&refs, &[("README.md", "modes: serial rrf")])
+    Repo::from_memory(&refs, &[("README.md", "modes: rrf")])
 }
 
 #[test]
@@ -453,7 +449,7 @@ fn enum_parity_fires_when_enum_file_missing() {
     let repo = Repo::from_memory(&[("crates/foo/src/lib.rs", "pub fn f() {}\n")], &[]);
     let v = fires(&repo, "strategy-enum-parity");
     // One finding per contracted enum whose defining file is absent.
-    assert_eq!(v.len(), 2, "{v:?}");
+    assert_eq!(v.len(), 1, "{v:?}");
 }
 
 // ------------------------------------------------------- report partition --

@@ -21,13 +21,14 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use crate::protocol::{json_escape, parse_query, Command};
-use crate::server::Dispatcher;
+use crate::server::{close_unread, Deadline, Dispatcher, MAX_REQUEST_BYTES};
 
 pub use crate::protocol::response_to_json;
 
 /// How long a client may take to send its request line and headers. Past
 /// it the connection is closed unanswered, so a silent client holds a
-/// worker, or a stop, for no longer than this.
+/// worker, or a stop, for no longer than this. A head longer than
+/// [`MAX_REQUEST_BYTES`] gets a 431.
 const REQUEST_DEADLINE: Duration = Duration::from_secs(1);
 
 /// Percent-decodes a URL component (`%41` → `A`, `+` → space).
@@ -199,30 +200,13 @@ fn endpoint_label(path: &str) -> &'static str {
     }
 }
 
-/// Reads from a stream until a fixed instant, then fails with `TimedOut`.
-struct Deadline<'a> {
-    stream: &'a TcpStream,
-    until: Instant,
-}
-
-impl Read for Deadline<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let left = self.until.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return Err(std::io::ErrorKind::TimedOut.into());
-        }
-        self.stream.set_read_timeout(Some(left))?;
-        let mut stream = self.stream;
-        stream.read(buf)
-    }
-}
-
 /// Serves one HTTP request and closes the connection.
 pub(crate) fn serve_request(stream: TcpStream, dispatcher: &Dispatcher) -> std::io::Result<()> {
     let mut reader = BufReader::new(Deadline {
         stream: &stream,
         until: Instant::now() + REQUEST_DEADLINE,
-    });
+    })
+    .take(MAX_REQUEST_BYTES as u64);
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
     let mut parts = request_line.split_whitespace();
@@ -236,6 +220,17 @@ pub(crate) fn serve_request(stream: TcpStream, dispatcher: &Dispatcher) -> std::
         if reader.read_line(&mut line)? == 0 || line == "\r\n" || line == "\n" {
             break;
         }
+    }
+    // The cap ran out before the blank line that ends the head.
+    if reader.limit() == 0 && !line.ends_with('\n') {
+        let reply = http_reply(
+            "431 Request Header Fields Too Large",
+            JSON,
+            "{\"ok\":false,\"error\":\"request head too long\"}",
+        );
+        (&stream).write_all(reply.as_bytes())?;
+        close_unread(&stream);
+        return Ok(());
     }
     // A malformed request line (missing target, missing or non-HTTP
     // version, or a target that is not an absolute path) gets a proper
@@ -496,6 +491,26 @@ mod tests {
         // Non-GET methods still get 405, unknown endpoints 404.
         assert!(raw_request(addr, "POST /stat HTTP/1.1\r\n\r\n").contains("405"));
         assert!(raw_request(addr, "GET /nope HTTP/1.1\r\n\r\n").contains("404"));
+        server.stop();
+    }
+
+    /// A request head past the cap gets a 431 whether the request line
+    /// or a header runs over; the server reads no more of it than the
+    /// cap. A head just under the cap is served.
+    #[test]
+    fn an_over_long_request_head_gets_431() {
+        let server = web(service());
+        let addr = server.addr();
+        let pad = "a".repeat(4 * MAX_REQUEST_BYTES);
+        let long_header = format!("GET /stat HTTP/1.1\r\nX-Pad: {pad}\r\n\r\n");
+        let status = raw_request(addr, &long_header);
+        assert!(status.contains("431"), "{status}");
+        let long_target = format!("GET /stat?{pad} HTTP/1.1\r\n\r\n");
+        let status = raw_request(addr, &long_target);
+        assert!(status.contains("431"), "{status}");
+        let pad = "a".repeat(MAX_REQUEST_BYTES - 100);
+        let status = raw_request(addr, &format!("GET /stat HTTP/1.1\r\nX-Pad: {pad}\r\n\r\n"));
+        assert!(status.contains("200"), "{status}");
         server.stop();
     }
 

@@ -19,8 +19,8 @@
 //!   then close their connections.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -30,7 +30,9 @@ use parking_lot::RwLock;
 use ferret_core::telemetry::MetricsRegistry;
 
 use crate::admission::AdmissionControl;
-use crate::protocol::{parse_command, render_error, render_reply, Command, Response, BUSY_LINE};
+use crate::protocol::{
+    parse_command, render_error, render_reply, Command, ProtocolError, Response, BUSY_LINE,
+};
 use crate::service::{FerretService, ServiceError};
 
 /// Runs the commands of every connection of every listener: one service,
@@ -261,6 +263,48 @@ impl Drop for Server {
     }
 }
 
+/// The most one request can make the server buffer: a protocol line,
+/// newline included, or an HTTP request line with its headers. The
+/// longest legal line, a `query` with `attr` and `weights`, is far below
+/// it. An over-long line gets `ERR protocol error: line too long` and an
+/// over-long head a 431; either way the connection is closed.
+pub(crate) const MAX_REQUEST_BYTES: usize = 64 * 1024;
+
+/// How long [`close_unread`] waits for a client to stop sending.
+const LINGER: Duration = Duration::from_secs(1);
+
+/// Reads from a stream until a fixed instant, then fails with `TimedOut`.
+pub(crate) struct Deadline<'a> {
+    pub(crate) stream: &'a TcpStream,
+    pub(crate) until: Instant,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.until.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        let mut stream = self.stream;
+        stream.read(buf)
+    }
+}
+
+/// Ends a connection whose client may still be sending: shuts the write
+/// side so the reply already written is delivered, then discards input
+/// until the client closes or [`LINGER`] passes. Closing with unread
+/// input would reset the connection, and the client could lose the
+/// reply.
+pub(crate) fn close_unread(stream: &TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut rest = Deadline {
+        stream,
+        until: Instant::now() + LINGER,
+    };
+    let _ = std::io::copy(&mut rest, &mut std::io::sink());
+}
+
 /// Serves one line-protocol session until the client quits or hangs up,
 /// or the server stops.
 fn serve_session(
@@ -283,7 +327,9 @@ fn serve_session(
         if shutdown.load(Ordering::Relaxed) {
             break;
         }
-        match reader.read_until(b'\n', &mut line) {
+        // A line cut short by the cap is never run.
+        let room = (MAX_REQUEST_BYTES - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) if line.is_empty() => break, // EOF.
             Ok(_) => {}
             Err(e)
@@ -293,6 +339,11 @@ fn serve_session(
                 continue;
             }
             Err(_) => break,
+        }
+        if line.len() == MAX_REQUEST_BYTES && !line.ends_with(b"\n") {
+            writer.write_all(render_error(&ProtocolError("line too long".into())).as_bytes())?;
+            close_unread(&writer);
+            break;
         }
         let reply = match String::from_utf8_lossy(&line).trim() {
             "" => None,
@@ -372,7 +423,6 @@ mod tests {
     use ferret_core::object::{DataObject, ObjectId};
     use ferret_core::sketch::SketchParams;
     use ferret_core::vector::FeatureVector;
-    use std::io::Read;
 
     fn service() -> Arc<RwLock<FerretService>> {
         let config = EngineConfig::basic(
@@ -477,6 +527,32 @@ mod tests {
         std::thread::sleep(Duration::from_millis(450));
         let reply = client.send("k=2 mode=brute").unwrap();
         assert!(reply.starts_with("OK 2"), "{reply}");
+        server.stop();
+    }
+
+    /// A line past the cap is refused and its session closed; the server
+    /// reads no more of it than the cap. A line just under the cap is
+    /// served, and so is a fresh connection after a refusal.
+    #[test]
+    fn an_over_long_line_is_refused_and_the_session_closed() {
+        let server = line_server(&service());
+        let mut client = Client::connect(server.addr()).unwrap();
+        let padded = format!("stat{}", " ".repeat(MAX_REQUEST_BYTES - 5));
+        assert!(client.send(&padded).unwrap().starts_with("OK 4"));
+        client
+            .reader
+            .get_ref()
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        client
+            .writer
+            .write_all(&vec![b'a'; 4 * MAX_REQUEST_BYTES])
+            .unwrap();
+        let mut reply = String::new();
+        client.reader.read_to_string(&mut reply).unwrap();
+        assert_eq!(reply, "ERR protocol error: line too long\n");
+        let mut fresh = Client::connect(server.addr()).unwrap();
+        assert!(fresh.send("stat").unwrap().starts_with("OK 4"));
         server.stop();
     }
 

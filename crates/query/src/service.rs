@@ -22,7 +22,6 @@ use ferret_core::engine::{
 };
 use ferret_core::error::CoreError;
 use ferret_core::object::{DataObject, ObjectId};
-use ferret_core::parallel::Parallelism;
 use ferret_core::telemetry::{MetricsRegistry, QueryTrace, Unit, SIZE_BUCKETS};
 use ferret_store::{Database, DbOptions, StoreError, Vfs};
 
@@ -142,7 +141,7 @@ fn publish_recovery_stage(registry: &MetricsRegistry, stage: &str, wall: Duratio
 
 /// Configures and builds a [`FerretService`]: engine configuration plus
 /// every optional knob (persistence options, VFS, telemetry registry,
-/// parallelism, trace-ring capacity) in one place.
+/// trace-ring capacity, result-cache capacity) in one place.
 ///
 /// This is the single construction surface; `FerretService::{in_memory,
 /// open, open_with_vfs}` are thin wrappers over it.
@@ -162,7 +161,6 @@ pub struct ServiceBuilder {
     db_options: DbOptions,
     vfs: Option<Arc<dyn Vfs>>,
     telemetry: Option<Arc<MetricsRegistry>>,
-    parallelism: Option<Parallelism>,
     trace_capacity: usize,
     cache_capacity: usize,
 }
@@ -175,7 +173,6 @@ impl ServiceBuilder {
             db_options: DbOptions::default(),
             vfs: None,
             telemetry: None,
-            parallelism: None,
             trace_capacity: DEFAULT_TRACE_CAPACITY,
             cache_capacity: 0,
         }
@@ -199,13 +196,6 @@ impl ServiceBuilder {
     /// recorded into `registry` and recent query traces retained.
     pub fn telemetry(mut self, registry: Arc<MetricsRegistry>) -> Self {
         self.telemetry = Some(registry);
-        self
-    }
-
-    /// Overrides the engine parallelism from
-    /// [`EngineConfig::parallelism`].
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = Some(parallelism);
         self
     }
 
@@ -240,9 +230,6 @@ impl ServiceBuilder {
             traces: Mutex::new(TraceRing::new(self.trace_capacity)),
             cache: ResultCache::new(self.cache_capacity),
         };
-        if let Some(p) = self.parallelism {
-            svc.engine.set_parallelism(p);
-        }
         if let Some(reg) = self.telemetry {
             svc.enable_telemetry(reg);
         }
@@ -507,17 +494,6 @@ impl FerretService {
     /// crash-consistency covers that state too.
     pub fn db_mut(&mut self) -> Option<&mut Database> {
         self.db.as_mut()
-    }
-
-    /// The engine's parallelism setting.
-    pub fn parallelism(&self) -> Parallelism {
-        self.engine.parallelism()
-    }
-
-    /// Changes the engine's parallelism setting for subsequent queries,
-    /// batch inserts, and rebuilds.
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.engine.set_parallelism(parallelism);
     }
 
     /// Inserts a batch of objects (with optional attributes) in one go.
@@ -1117,7 +1093,6 @@ mod tests {
     fn retune_preserves_the_full_engine_config() {
         let mut config = config();
         config.ranking = ferret_core::engine::RankingMethod::GreedyEmd;
-        config.parallelism = Parallelism::Threads(2);
         let mut svc = FerretService::in_memory(config).unwrap();
         for i in 0..12u64 {
             svc.insert(ObjectId(i), obj(0.05 + 0.07 * i as f32), None)
@@ -1135,7 +1110,6 @@ mod tests {
             ),
             "retune dropped the ranking method"
         );
-        assert_eq!(engine.parallelism(), Parallelism::Threads(2));
     }
 
     #[test]
@@ -1148,7 +1122,6 @@ mod tests {
     fn batch_insert_matches_serial_and_is_atomic() {
         let mut serial = FerretService::in_memory(config()).unwrap();
         let mut batched = FerretService::in_memory(config()).unwrap();
-        batched.set_parallelism(Parallelism::Threads(3));
         let attrs = |i: u64| Some(AttrsBuilder::new().int("idx", i as i64).build());
         for i in 0..8u64 {
             serial

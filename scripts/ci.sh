@@ -146,6 +146,27 @@ for target in '/search?id=0&k=2%20k%3D7' '/search?id=0&k=2&bogus=1'; do
     [[ "$REPLY_400" == "HTTP/1.1 400 "* ]] \
         || { echo "$target did not answer 400:"; printf '%s\n' "$REPLY_400"; exit 1; }
 done
+# One request can make the server buffer at most 64 KiB. A 1 MiB
+# protocol line with no newline is refused and its session closed, and
+# the next connection is served; a 1 MiB HTTP request head gets a 431.
+# The server discards what is still arriving before it closes, so the
+# writes below complete and the reply is read, not reset.
+TCP_ADDR="$(sed -n 's|^tcp protocol on \(.*\)$|\1|p' "$SMOKE_DIR/serve.log")"
+LONG="$(head -c 1048576 /dev/zero | tr '\0' a)"
+exec 4<>"/dev/tcp/${TCP_ADDR%:*}/${TCP_ADDR##*:}"
+printf '%s' "$LONG" >&4
+LONG_REPLY="$(timeout 10 cat <&4 || true)"
+exec 4<&-
+printf '%s\n' "$LONG_REPLY" | grep -q '^ERR .*too long$' \
+    || { echo "a 1 MiB protocol line was not refused:"; printf '%s\n' "$LONG_REPLY" | head -c 300; exit 1; }
+target/release/ferret query --addr "$TCP_ADDR" stat | head -n 1 | grep -q '^OK' \
+    || { echo "stat on a new connection failed after the refused line"; exit 1; }
+exec 4<>"/dev/tcp/${HTTP_ADDR%:*}/${HTTP_ADDR##*:}"
+printf 'GET /stat HTTP/1.1\r\nHost: x\r\nX-Pad: %s\r\n\r\n' "$LONG" >&4
+HEAD_REPLY="$(timeout 10 cat <&4 || true)"
+exec 4<&-
+[[ "$HEAD_REPLY" == "HTTP/1.1 431 "* ]] \
+    || { echo "a 1 MiB request head did not answer 431:"; printf '%s\n' "$HEAD_REPLY" | head -n 3; exit 1; }
 METRICS="$(http_get /metrics)"
 kill "$SERVE_PID" 2>/dev/null || true
 echo "$METRICS" | head -n 1 | grep -q " 200 " \

@@ -30,7 +30,6 @@ use ferret::attr::Attributes;
 use ferret::core::engine::EngineConfig;
 use ferret::core::error::CoreError;
 use ferret::core::object::{DataObject, ObjectId};
-use ferret::core::parallel::Parallelism;
 use ferret::core::sketch::SketchParams;
 use ferret::core::telemetry::MetricsRegistry;
 use ferret::datatypes::generic::FvecExtractor;
@@ -52,7 +51,6 @@ struct Options {
     tcp: String,
     http: String,
     scan_interval: u64,
-    threads: Parallelism,
     workers: Option<usize>,
     max_inflight: Option<usize>,
     cache_capacity: usize,
@@ -63,7 +61,7 @@ struct Options {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  ferret serve  --db <dir> --watch <dir> --dim <D> [--bits N] [--k K]\n                [--tcp addr] [--http addr] [--scan-interval secs]\n                [--threads N|auto|serial] [--workers N] [--max-inflight N]\n                [--cache-capacity N] [--no-telemetry]\n  ferret import --db <dir> --watch <dir> --dim <D> [--bits N] [--k K]\n                [--threads N|auto|serial]\n  ferret retune --db <dir> --dim <D> [--bits N] [--k K]\n  ferret query  --addr <host:port> <command ...>"
+        "usage:\n  ferret serve  --db <dir> --watch <dir> --dim <D> [--bits N] [--k K]\n                [--tcp addr] [--http addr] [--scan-interval secs]\n                [--workers N] [--max-inflight N] [--cache-capacity N]\n                [--no-telemetry]\n  ferret import --db <dir> --watch <dir> --dim <D> [--bits N] [--k K]\n  ferret retune --db <dir> --dim <D> [--bits N] [--k K]\n  ferret query  --addr <host:port> <command ...>"
     );
     std::process::exit(2);
 }
@@ -78,7 +76,6 @@ fn parse_options(args: &[String]) -> Options {
         tcp: "127.0.0.1:7878".to_string(),
         http: "127.0.0.1:8080".to_string(),
         scan_interval: 5,
-        threads: Parallelism::Auto,
         workers: None,
         max_inflight: None,
         cache_capacity: 128,
@@ -122,10 +119,6 @@ fn parse_options(args: &[String]) -> Options {
                 opts.scan_interval = need(i).parse().unwrap_or_else(|_| usage());
                 i += 2;
             }
-            "--threads" => {
-                opts.threads = parse_threads(need(i)).unwrap_or_else(|| usage());
-                i += 2;
-            }
             "--workers" => {
                 opts.workers = Some(need(i).parse().unwrap_or_else(|_| usage()));
                 i += 2;
@@ -153,11 +146,6 @@ fn parse_options(args: &[String]) -> Options {
         }
     }
     opts
-}
-
-fn parse_threads(value: &str) -> Option<Parallelism> {
-    // Accepts serial, auto, N, or threads(N) — see Parallelism::from_str.
-    value.parse().ok()
 }
 
 struct ServiceSink<'a>(&'a mut FerretService);
@@ -225,9 +213,7 @@ fn open_service(opts: &Options) -> FerretService {
         eprintln!("error: {e}");
         std::process::exit(2);
     });
-    let mut config = EngineConfig::basic(params, ENGINE_SEED);
-    config.parallelism = opts.threads;
-    let built = FerretService::builder(config)
+    let built = FerretService::builder(EngineConfig::basic(params, ENGINE_SEED))
         .db_options(DbOptions::default())
         .cache_capacity(opts.cache_capacity)
         .open(&db);
@@ -415,7 +401,6 @@ fn cmd_serve(opts: &Options) {
         &opts.http,
         Server::start(http, Protocol::Http, workers, dispatcher),
     );
-    println!("query parallelism: {}", opts.threads);
     println!(
         "serving: {workers} workers per surface, max in-flight queries {}",
         if max_inflight == 0 {

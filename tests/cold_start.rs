@@ -17,7 +17,6 @@ use ferret::core::codec::{decode_calibration, encode_calibration, encode_object}
 use ferret::core::engine::EngineConfig;
 use ferret::core::error::CoreError;
 use ferret::core::object::{DataObject, ObjectId};
-use ferret::core::parallel::Parallelism;
 use ferret::core::sketch::SketchParams;
 use ferret::core::telemetry::MetricsRegistry;
 use ferret::core::vector::FeatureVector;
@@ -54,9 +53,7 @@ fn wide() -> ServiceBuilder {
         None,
     )
     .unwrap();
-    let mut config = EngineConfig::basic(params, SEED);
-    config.parallelism = Parallelism::Serial;
-    FerretService::builder(config).db_options(db_opts())
+    FerretService::builder(EngineConfig::basic(params, SEED)).db_options(db_opts())
 }
 
 /// Everything the contract compares: insertion order first, then — by

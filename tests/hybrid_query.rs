@@ -18,7 +18,6 @@ use proptest::prelude::*;
 
 use ferret::core::engine::{EngineConfig, QueryMode, QueryOptions, SearchEngine};
 use ferret::core::object::{DataObject, ObjectId};
-use ferret::core::parallel::Parallelism;
 use ferret::core::sketch::SketchParams;
 use ferret::core::vector::FeatureVector;
 
@@ -41,12 +40,9 @@ fn object_strategy() -> impl Strategy<Value = DataObject> {
     })
 }
 
-fn build_engine(parallelism: Parallelism, items: &[(ObjectId, DataObject)]) -> SearchEngine {
+fn build_engine(items: &[(ObjectId, DataObject)]) -> SearchEngine {
     let params = SketchParams::with_options(96, 2, vec![0.0; DIM], vec![1.0; DIM], None).unwrap();
-    let mut engine = SearchEngine::builder(params, SEED)
-        .parallelism(parallelism)
-        .build()
-        .unwrap();
+    let mut engine = SearchEngine::builder(params, SEED).build().unwrap();
     engine.insert_batch(items.to_vec()).unwrap();
     engine
 }
@@ -64,16 +60,14 @@ proptest! {
     fn pushdown_matches_post_filter_on_unpruned_paths(
         objects in prop::collection::vec(object_strategy(), 4..12),
         mask in prop::collection::vec(any::<bool>(), 12),
-        par_idx in 0usize..2,
         k in 1usize..6,
     ) {
-        let parallelism = [Parallelism::Serial, Parallelism::Threads(3)][par_idx];
         let items: Vec<(ObjectId, DataObject)> = objects
             .iter()
             .enumerate()
             .map(|(i, o)| (ObjectId(i as u64), o.clone()))
             .collect();
-        let engine = build_engine(parallelism, &items);
+        let engine = build_engine(&items);
         let allowed: HashSet<ObjectId> = items
             .iter()
             .enumerate()
@@ -112,8 +106,8 @@ proptest! {
 
             prop_assert_eq!(
                 hybrid, oracle,
-                "mode {:?} par {:?} diverged from post-filter",
-                mode, parallelism
+                "mode {:?} diverged from post-filter",
+                mode
             );
         }
     }
@@ -126,10 +120,8 @@ proptest! {
     fn pushdown_matches_subset_engine_on_filtering_path(
         objects in prop::collection::vec(object_strategy(), 4..12),
         mask in prop::collection::vec(any::<bool>(), 12),
-        par_idx in 0usize..2,
         k in 1usize..6,
     ) {
-        let parallelism = [Parallelism::Serial, Parallelism::Threads(3)][par_idx];
         let items: Vec<(ObjectId, DataObject)> = objects
             .iter()
             .enumerate()
@@ -143,8 +135,8 @@ proptest! {
             .collect();
         let allowed: HashSet<ObjectId> = subset.iter().map(|(id, _)| *id).collect();
 
-        let full_engine = build_engine(parallelism, &items);
-        let subset_engine = build_engine(parallelism, &subset);
+        let full_engine = build_engine(&items);
+        let subset_engine = build_engine(&subset);
 
         let seed = &objects[0];
         let restricted = QueryOptions::default()
@@ -155,8 +147,7 @@ proptest! {
         let oracle = results_of(&subset_engine.query(seed, &plain).unwrap());
         prop_assert_eq!(
             hybrid, oracle,
-            "par {:?}: restricted full engine != subset engine",
-            parallelism
+            "restricted full engine != subset engine"
         );
     }
 }
@@ -175,7 +166,7 @@ fn empty_candidate_set_returns_no_results() {
             )
         })
         .collect();
-    let engine = build_engine(Parallelism::Serial, &items);
+    let engine = build_engine(&items);
     for mode in [
         QueryMode::BruteForceOriginal,
         QueryMode::BruteForceSketch,
@@ -204,7 +195,7 @@ fn all_match_candidate_set_equals_unrestricted() {
         })
         .collect();
     let everyone: HashSet<ObjectId> = items.iter().map(|(id, _)| *id).collect();
-    let engine = build_engine(Parallelism::Threads(2), &items);
+    let engine = build_engine(&items);
     for mode in [
         QueryMode::BruteForceOriginal,
         QueryMode::BruteForceSketch,

@@ -17,7 +17,6 @@ use proptest::prelude::*;
 use ferret::core::engine::{QueryMode, QueryOptions, SearchEngine};
 use ferret::core::filter::{filter_candidates, filter_candidates_arena, FilterParams, FilterStats};
 use ferret::core::object::{DataObject, ObjectId};
-use ferret::core::parallel::Parallelism;
 use ferret::core::sketch::{BitVec, SketchArena, SketchParams, SketchedObject};
 use ferret::core::telemetry::MetricsRegistry;
 use ferret::core::vector::FeatureVector;
@@ -185,7 +184,6 @@ proptest! {
         let params = SketchParams::new(nbits, vec![0.0; 3], vec![1.0; 3]).unwrap();
         let registry = Arc::new(MetricsRegistry::new());
         let mut engine = SearchEngine::builder(params, seed)
-            .parallelism(Parallelism::Threads(3))
             .telemetry(Some(Arc::clone(&registry)))
             .build()
             .unwrap();
